@@ -39,6 +39,7 @@ def emit_circuit(seq: PulseSequence, slot_phases: np.ndarray, target_state: int 
         raise ValueError(
             f"need {seq.n_slots} slot phases, got {phases.size}"
         )
+    closing = _HALF_PI if seq.closing_sign(target_state) > 0 else f"-{_HALF_PI}"
     pulse_sign = dict(zip(seq.pulse_slots, seq.pulse_signs))
     lines = [
         "OPENQASM 2.0;",
@@ -54,15 +55,9 @@ def emit_circuit(seq: PulseSequence, slot_phases: np.ndarray, target_state: int 
             lines.append("x q[0];")
         elif sign == -1:
             lines.append(_X_NEG)
-    closing = _HALF_PI if _closing_positive(seq.n_pulses, target_state) else f"-{_HALF_PI}"
     lines.append(f"u3({closing},-{_HALF_PI},{_HALF_PI}) q[0];")
     lines.append("measure q[0] -> c[0];")
     return "\n".join(lines) + "\n"
-
-
-def _closing_positive(n_pulses: int, target_state: int) -> bool:
-    positive = n_pulses % 2 == 0
-    return positive if target_state == 1 else not positive
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from scipy.optimize import least_squares
 from .noise_models import Spectrum
 from .qubit_sim import ExperimentRecord
 from .seeds import as_lineage
-from .sequences import FilterFunction
+from .sequences import FilterFunction, _filters_by_label
 
 LORENTZIAN_PLUS_WHITE = "lorentzian_plus_white"
 WHITE_ONLY = "white_only"
@@ -65,14 +65,6 @@ class FitParams:
             raise ValueError("cutoff must be > 0")
         object.__setattr__(self, "mask", frozenset(int(k) for k in self.mask))
 
-    def native_psd(self, freqs: np.ndarray) -> np.ndarray:
-        """Native one-sided PSD evaluated on a frequency grid (Hz)."""
-        out = np.full_like(np.asarray(freqs, dtype=float), self.white_floor)
-        if self.kind == LORENTZIAN_PLUS_WHITE and self.amplitude > 0:
-            omega = 2.0 * np.pi * np.asarray(freqs, dtype=float)
-            out = out + self.amplitude / (1.0 + omega**2 / self.cutoff**2)
-        return out
-
     def to_vector(self) -> np.ndarray:
         if self.kind == WHITE_ONLY:
             return np.array([self.white_floor, self.c1, self.c2])
@@ -95,12 +87,11 @@ def predict_survival(
     n_pulses: int,
     injected: Optional[Spectrum] = None,
 ) -> float:
-    """Model survival probability for one sequence; always in (1/2, 1]."""
-    exponent = float(np.dot(filt.weights, params.native_psd(filt.freqs)))
-    if injected is not None:
-        exponent += filt.chi(injected)
-    exponent += params.c1 * n_pulses + params.c2 * n_pulses**2
-    return 0.5 + 0.5 * float(np.exp(-exponent))
+    """Model survival probability for one sequence, evaluated as in the fit; in (1/2, 1]."""
+    record = ExperimentRecord(label=filt.label, n_pulses=n_pulses, survival_mean=1.0,
+                              survival_stderr=0.0, shots=1, trajectories=1, seed=0)
+    matrix = _ModelMatrix([record], [filt], injected, params.kind)
+    return float(matrix.model(params.to_vector())[0])
 
 
 @dataclass(frozen=True)
@@ -122,13 +113,8 @@ class _ModelMatrix:
     """Precomputed per-sequence quantities for the vectorized model."""
 
     def __init__(self, records, filters, injected, kind):
-        by_label = {f.label: f for f in filters}
-        missing = [r.label for r in records if r.label not in by_label]
-        if missing:
-            raise ValueError(f"no filter function for sequence labels {missing}")
+        by_label = _filters_by_label(records, filters)
         grid = next(iter(by_label.values())).freqs
-        if any(not np.array_equal(f.freqs, grid) for f in by_label.values()):
-            raise ValueError("all filter functions must share one frequency grid")
         if injected is not None and not np.array_equal(injected.freqs, grid):
             raise ValueError("injected spectrum grid does not match the filters")
         self.kind = kind

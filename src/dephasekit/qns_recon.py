@@ -18,7 +18,7 @@ from scipy.optimize import nnls
 
 from .qubit_sim import ExperimentRecord, _survival_stats
 from .seeds import as_lineage
-from .sequences import FilterFunction
+from .sequences import FilterFunction, _filters_by_label
 
 DEFAULT_SATURATION_FLOOR = 0.02
 _MIN_CHI_VARIANCE = 1e-24
@@ -165,13 +165,7 @@ def reconstruct_spectrum(
     """
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
-    by_label = {f.label: f for f in filters}
-    missing = [r.label for r in records if r.label not in by_label]
-    if missing:
-        raise ValueError(f"no filter function for sequence labels {missing}")
-    grid = next(iter(by_label.values())).freqs
-    if any(not np.array_equal(f.freqs, grid) for f in by_label.values()):
-        raise ValueError("all filter functions must share one frequency grid")
+    by_label = _filters_by_label(records, filters)
     usable = _usable_records(records, saturation_floor)
     if not usable:
         raise ValueError("all records are saturated; nothing to invert")
@@ -179,14 +173,32 @@ def reconstruct_spectrum(
         centers, edges = bins_like.freqs, bins_like.bin_edges
     else:
         centers, edges = _bin_edges_from_filters(usable, by_label, bins)
-    design = _binned_filter_matrix(usable, by_label, edges)
-    chi = np.array(
-        [decay_from_survival(r.survival_mean, saturation_floor).chi for r in usable]
+    a, solution = _weighted_inversion(usable, by_label, edges, saturation_floor, ridge, check_rank)
+    stderr = _active_set_stderr(a, solution)
+    return SpectrumEstimate(
+        freqs=centers,
+        values=solution,
+        bin_edges=edges,
+        stderr=stderr,
+        labels=tuple(r.label for r in usable),
     )
+
+
+def _weighted_inversion(
+    usable: Sequence[ExperimentRecord],
+    by_label: "dict[int, FilterFunction]",
+    edges: np.ndarray,
+    floor: float,
+    ridge: float,
+    check_rank: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-stderr weighted NNLS plus ridge on fixed bins: (augmented matrix, solution)."""
+    design = _binned_filter_matrix(usable, by_label, edges)
+    chi = np.array([decay_from_survival(r.survival_mean, floor).chi for r in usable])
     weights = np.array([1.0 / np.sqrt(chi_variance(r)) for r in usable])
     a = design * weights[:, None]
     b = chi * weights
-    n_bins = centers.size
+    n_bins = edges.size - 1
     if check_rank:
         col_norms = np.abs(a).sum(axis=0)
         dead = [int(m) for m in np.nonzero(col_norms <= 1e-15 * max(col_norms.max(), 1.0))[0]]
@@ -206,14 +218,7 @@ def reconstruct_spectrum(
         a = np.vstack([a, np.sqrt(ridge) * np.eye(n_bins)])
         b = np.concatenate([b, np.zeros(n_bins)])
     solution, _ = nnls(a, b)
-    stderr = _active_set_stderr(a, solution)
-    return SpectrumEstimate(
-        freqs=centers,
-        values=solution,
-        bin_edges=edges,
-        stderr=stderr,
-        labels=tuple(r.label for r in usable),
-    )
+    return a, solution
 
 
 def _active_set_stderr(a: np.ndarray, solution: np.ndarray) -> np.ndarray:
@@ -296,7 +301,9 @@ def bootstrap_spectrum(
     point = reconstruct_spectrum(records, filters, **recon_kwargs)
     root = as_lineage(seed)
     floor = recon_kwargs.get("saturation_floor", DEFAULT_SATURATION_FLOOR)
-    values = np.empty((resamples, point.values.size))
+    ridge = recon_kwargs.get("ridge", 0.0)
+    by_label = _filters_by_label(records, filters)
+    values = np.zeros((resamples, point.values.size))
     for b in range(resamples):
         rng = root.child(b).generator()
         resampled = []
@@ -315,7 +322,11 @@ def bootstrap_spectrum(
                     seed=rec.seed,
                 )
             )
-        values[b] = _reconstruct_on_bins(resampled, filters, point, floor, recon_kwargs)
+        usable = _usable_records(resampled, floor)
+        if usable:  # an all-saturated resample contributes zeros
+            _, values[b] = _weighted_inversion(
+                usable, by_label, point.bin_edges, floor, ridge, check_rank=False
+            )
     lo_q, hi_q = quantiles
     return BootstrapSpectrum(
         median=SpectrumEstimate(
@@ -330,29 +341,3 @@ def bootstrap_spectrum(
         resamples=resamples,
         quantiles=(lo_q, hi_q),
     )
-
-
-def _reconstruct_on_bins(
-    records: Sequence[ExperimentRecord],
-    filters: Sequence[FilterFunction],
-    point: SpectrumEstimate,
-    floor: float,
-    recon_kwargs: dict,
-) -> np.ndarray:
-    """Re-invert resampled records on the point estimate's fixed bin grid."""
-    by_label = {f.label: f for f in filters}
-    usable = _usable_records(records, floor)
-    if not usable:
-        return np.zeros(point.values.size)
-    design = _binned_filter_matrix(usable, by_label, point.bin_edges)
-    chi = np.array([decay_from_survival(r.survival_mean, floor).chi for r in usable])
-    weights = np.array([1.0 / np.sqrt(chi_variance(r)) for r in usable])
-    a = design * weights[:, None]
-    b = chi * weights
-    ridge = recon_kwargs.get("ridge", 0.0)
-    if ridge > 0.0:
-        n_bins = point.values.size
-        a = np.vstack([a, np.sqrt(ridge) * np.eye(n_bins)])
-        b = np.concatenate([b, np.zeros(n_bins)])
-    solution, _ = nnls(a, b)
-    return solution

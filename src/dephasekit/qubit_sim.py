@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .noise_models import ArmaModel, Trajectory, UnstableModelError, autocovariance
+from .noise_models import _synthesize_phases
 from .seeds import (
     STREAM_INJECTED,
     STREAM_MEASUREMENT,
@@ -102,14 +102,6 @@ class ExperimentRecord:
         return self.shots * self.trajectories
 
 
-def _closing_sign(n_pulses: int, target_state: int) -> float:
-    # Chosen so a noiseless, perfect-pulse run ends exactly in the target.
-    if target_state not in (0, 1):
-        raise ValueError("target_state must be 0 or 1")
-    sign = 1.0 if n_pulses % 2 == 0 else -1.0
-    return sign if target_state == 1 else -sign
-
-
 def _propagate(
     phases: np.ndarray,
     seq: PulseSequence,
@@ -141,11 +133,12 @@ def _propagate(
             if exact.any():
                 c = np.where(exact, 0.0, c)
             psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
-    half = _closing_sign(seq.n_pulses, target_state) * np.pi / 4.0
+    half = seq.closing_sign(target_state) * np.pi / 4.0
     c, s = np.cos(half), np.sin(half)
     psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
     amp = psi1 if target_state == 1 else psi0
-    return np.abs(amp) ** 2
+    # |amp|^2 can overshoot 1 by an ulp or so; clipping leaves in-range values unchanged
+    return np.clip(np.abs(amp) ** 2, 0.0, 1.0)
 
 
 def run_shot(
@@ -219,13 +212,11 @@ def _gate_phase_block(
     """(n_traj, n_slots) gate-aligned phase increments, one row per trajectory."""
     if model is None or model.drive_std == 0.0:
         return np.zeros((n_traj, n_slots))
-    burn = model.burn_in
-    drive = np.empty((n_traj, burn + n_slots))
+    normals = np.empty((n_traj, model.burn_in + n_slots))
     for r in range(n_traj):
         rng = root.child(label, r, stream).generator()
-        drive[r] = rng.standard_normal(burn + n_slots)
-    drive *= model.drive_std
-    return lfilter(np.asarray(model.ma), model.ar_poly(), drive, axis=1)[:, burn:]
+        normals[r] = rng.standard_normal(normals.shape[1])
+    return _synthesize_phases(model, normals)
 
 
 def _sdr_slot_phases(
@@ -242,9 +233,7 @@ def _sdr_slot_phases(
     n_steps = int(np.ceil(seq_time / t_s)) + 2
     if model.drive_std == 0.0:
         return np.zeros((n_shots, n_slots))
-    burn = model.burn_in
-    drive = model.drive_std * rng.standard_normal((n_shots, burn + n_steps))
-    phases = lfilter(np.asarray(model.ma), model.ar_poly(), drive, axis=1)[:, burn:]
+    phases = _synthesize_phases(model, rng.standard_normal((n_shots, model.burn_in + n_steps)))
     cum = np.concatenate([np.zeros((n_shots, 1)), np.cumsum(phases, axis=1)], axis=1)
     # piecewise-linear cumulative phase, sampled at slot boundaries
     bounds = offsets[:, None] + gate_period * np.arange(n_slots + 1)[None, :]
@@ -359,11 +348,8 @@ def _run_sdr_sequence(
     )
     if native_model is not None and native_model.drive_std > 0:
         rng_nat = root.child(k, 0, STREAM_NATIVE).generator()
-        burn = native_model.burn_in
-        drive = native_model.drive_std * rng_nat.standard_normal((n_shots, burn + seq.n_slots))
-        phases = phases + lfilter(
-            np.asarray(native_model.ma), native_model.ar_poly(), drive, axis=1
-        )[:, burn:]
+        normals = rng_nat.standard_normal((n_shots, native_model.burn_in + seq.n_slots))
+        phases += _synthesize_phases(native_model, normals)
     rng_jit = root.child(k, 0, STREAM_PULSE_JITTER).generator()
     jitter = perr.jitter_std * rng_jit.standard_normal((n_shots, seq.n_pulses))
     p_shot = _propagate(phases, seq, perr.over_rotation, jitter, target_state)

@@ -51,6 +51,12 @@ class PulseSequence:
     def total_time(self) -> float:
         return self.n_slots * self.gate_period
 
+    def closing_sign(self, target_state: int) -> float:
+        """Sign of the closing R_x(+-pi/2): a noiseless, perfect-pulse run ends in the target."""
+        if target_state not in (0, 1):
+            raise ValueError("target_state must be 0 or 1")
+        return 1.0 if (self.n_pulses + target_state) % 2 == 1 else -1.0
+
 
 @dataclass(frozen=True)
 class FilterFunction:
@@ -77,6 +83,18 @@ class FilterFunction:
         if not np.array_equal(self.freqs, spectrum.freqs):
             raise ValueError("spectrum grid does not match filter grid")
         return float(np.dot(self.weights, spectrum.values))
+
+
+def _filters_by_label(records, filters) -> "dict[int, FilterFunction]":
+    """Filters keyed by label, checked to cover every record's label on one shared grid."""
+    by_label = {f.label: f for f in filters}
+    missing = [r.label for r in records if r.label not in by_label]
+    if missing:
+        raise ValueError(f"no filter function for sequence labels {missing}")
+    grid = next(iter(by_label.values())).freqs
+    if any(not np.array_equal(f.freqs, grid) for f in by_label.values()):
+        raise ValueError("all filter functions must share one frequency grid")
+    return by_label
 
 
 def _cpmg_slots(n_pulses: int, n_slots: int) -> tuple[int, ...]:

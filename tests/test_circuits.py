@@ -74,6 +74,12 @@ def test_closing_gate_parity():
     assert odd.strip().splitlines()[-2].startswith(f"u3(-{half_pi},")
 
 
+def test_emit_rejects_invalid_target_state():
+    seq = make_fttps(2, N, T_G)[1]
+    with pytest.raises(ValueError, match="target_state"):
+        emit_circuit(seq, np.zeros(N), target_state=2)
+
+
 def test_emit_requires_enough_phases():
     seq = make_fttps(1, N, T_G)[0]
     with pytest.raises(ValueError, match="slot phases"):

@@ -46,7 +46,7 @@ def test_model_validation():
     ArmaModel(ar=(), ma=(0.0,), drive_std=0.0, sample_period=T_S)
 
 
-@pytest.mark.parametrize("a", [0.5, 0.9, -0.7, 0.99])
+@pytest.mark.parametrize("a", [0.5, 0.9, -0.7, 0.99, 0.99999])
 def test_stable_ar_is_stable(a):
     assert ar1(a).is_stable()
 

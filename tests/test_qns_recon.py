@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dephasekit.noise_models import ArmaModel, autocovariance, design_bandpass, design_lorentzian
+from dephasekit.predictor import WHITE_ONLY, _ModelMatrix
 from dephasekit.qns_recon import (
     RankDeficientError,
     bootstrap_spectrum,
@@ -204,6 +205,23 @@ def test_ridge_shrinks_solution(seqs, filters):
         if ridged.values.sum() < 0.5 * plain.values.sum():
             return
     pytest.fail("no ridge value produced meaningful shrinkage")
+
+
+def _model_matrix(records, filters):
+    return _ModelMatrix(records, filters, None, WHITE_ONLY)
+
+
+@pytest.mark.parametrize(
+    "invert", [reconstruct_spectrum, _model_matrix], ids=["reconstruct", "fit"]
+)
+def test_filter_set_checks(seqs, filters, invert):
+    # reconstruction and fit validate the filter set with the same messages
+    records = [ExperimentRecord(s.label, s.n_pulses, 0.9, 0.01, 100, 1, 0) for s in seqs[:8]]
+    with pytest.raises(ValueError, match=r"no filter function for sequence labels \[7\]"):
+        invert(records, filters[:7])
+    coarse = filter_function(seqs[0], grid_size=33)
+    with pytest.raises(ValueError, match="all filter functions must share one frequency grid"):
+        invert(records, [coarse] + filters[1:8])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from dephasekit.noise_models import ArmaModel, Trajectory, design_bandpass, generate_trajectory
+from dephasekit.noise_models import (
+    ArmaModel,
+    Trajectory,
+    design_bandpass,
+    design_power_law,
+    generate_trajectory,
+)
 from dephasekit.qubit_sim import (
     GateMode,
     PulseErrorModel,
@@ -13,7 +19,7 @@ from dephasekit.qubit_sim import (
     run_experiment,
     run_shot,
 )
-from dephasekit.seeds import STREAM_INJECTED, SeedLineage
+from dephasekit.seeds import STREAM_INJECTED, STREAM_MEASUREMENT, SeedLineage
 from dephasekit.sequences import make_fttps, make_rfttps, switching_function
 
 T_G = 100e-9
@@ -160,6 +166,40 @@ def test_gate_mode_matches_run_shot():
         p = run_shot(seq, traj, pulse_errors=perr, seed=root.child(seq.label, r, 2))
         # binomial fraction at 1e6 shots pins the per-trajectory probability
         assert records[0].trajectory_survivals[r] == pytest.approx(p, abs=5e-3)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G),
+        ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G),
+    ],
+    ids=["power-law-257-taps", "ar2"],
+)
+def test_gate_mode_stream_contract(model):
+    # every (sequence, trajectory) of a gate run is exactly run_shot on the
+    # generate_trajectory phases of its injected stream, sampled from its
+    # measurement stream: the batched and single-trajectory synthesis agree
+    # bit for bit
+    seqs = make_fttps(4, N, T_G)
+    mode = GateMode(trajectories=20, shots_per_trajectory=50)
+    records = run_experiment(seqs, model, mode=mode, seed=19, keep_raw=True)
+    root = SeedLineage(19)
+    for seq, rec in zip(seqs, records):
+        for r in range(mode.trajectories):
+            lineage = root.child(seq.label, r, STREAM_INJECTED)
+            p = run_shot(seq, generate_trajectory(model, seq.n_slots, lineage))
+            rng = root.child(seq.label, r, STREAM_MEASUREMENT).generator()
+            assert rec.trajectory_survivals[r] == rng.binomial(50, p) / 50
+
+
+def test_gate_mode_survival_clipped_to_unit_interval():
+    # this sequence's propagated survival overshoots 1 by about 1e-15 on one
+    # trajectory; unclipped, Generator.binomial rejects it
+    seq = make_fttps(64, 128, 1e-7)[53]
+    model = design_bandpass(1.0e6, 0.2e6, 1.0e-3, 1e-7)
+    (rec,) = run_experiment([seq], model, mode=GateMode(200, 1000), seed=14)
+    assert 0.0 <= rec.survival_mean <= 1.0
 
 
 def test_gate_mode_requires_matching_sample_period():
