@@ -6,13 +6,12 @@ records, ``fit`` the survival model, ``export-circuits`` as OpenQASM text,
 ``ingest`` externally measured records, and ``report`` a run summary.
 
 Configs are JSON documents carrying ``schema_version: 1``.  Exit codes:
-0 success, 2 config error, 3 numerical failure.
+0 success, 2 config or input-file error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,13 +31,7 @@ class ConfigError(ValueError):
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: no such config file")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}")
+    doc = serialize.read_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     version = doc.get("schema_version")
@@ -247,25 +240,18 @@ def cmd_reconstruct(config: dict, args) -> None:
         delta_path = out / "spectrum_delta.csv"
         serialize.write_spectrum_estimate_csv(delta_path, subtraction.spectrum)
     serialize.write_spectrum_estimate_csv(out / "spectrum.csv", estimate, band)
-    saturated = [
-        r.label
-        for r in records
-        if qns_recon.decay_from_survival(r.survival_mean, floor).saturated
-    ]
     meta = {
         "schema_version": SCHEMA_VERSION,
         "ridge": ridge,
         "saturation_floor": floor,
-        "excluded_sequences": saturated,
+        "excluded_sequences": [r.label for r in records if r.label not in estimate.labels],
         "bins": len(estimate.values),
         "seed": records[0].seed if records else None,
         "integrated_power_rad2": estimate.integrated_power(),
     }
     if delta_path is not None:
         meta["delta_spectrum"] = str(delta_path)
-    with open(out / "reconstruction_meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    serialize.write_json(out / "reconstruction_meta.json", meta)
     print(f"wrote {out / 'spectrum.csv'} ({len(estimate.values)} bins)")
 
 
@@ -309,13 +295,10 @@ def cmd_fit(config: dict, args) -> None:
         "mask": sorted(result.params.mask),
         "jacobian_rel_err": result.jacobian_rel_err,
     }
-    with open(out / "fit_report.json", "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    with open(out / "fit_residuals.csv", "w", newline="") as fh:
-        fh.write("seq_index,residual\n")
-        for label, res in zip(result.labels, result.residuals):
-            fh.write(f"{label},{res!r}\n")
+    serialize.write_json(out / "fit_report.json", report)
+    serialize.write_csv(
+        out / "fit_residuals.csv", ("seq_index", "residual"), zip(result.labels, result.residuals)
+    )
     print(f"wrote {out / 'fit_report.json'} (loss {result.loss:.3e})")
 
 
@@ -362,14 +345,10 @@ def cmd_ingest(config: dict, args) -> None:
                     f"document ({seqs[r.label].n_pulses})"
                 )
     floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
-    with open(out / "records_normalized.csv", "w", newline="") as fh:
-        fh.write(",".join(serialize.RECORD_FIELDS) + ",saturated\n")
-        for r in records:
-            flag = int(qns_recon.decay_from_survival(r.survival_mean, floor).saturated)
-            fh.write(
-                f"{r.label},{r.n_pulses},{r.survival_mean!r},{r.survival_stderr!r},"
-                f"{r.shots},{r.trajectories},{r.seed},{flag}\n"
-            )
+    flags = [int(qns_recon.decay_from_survival(r.survival_mean, floor).saturated) for r in records]
+    rows = [serialize.record_row(r) + (flag,) for r, flag in zip(records, flags)]
+    header = serialize.RECORD_FIELDS + ("saturated",)
+    serialize.write_csv(out / "records_normalized.csv", header, rows)
     print(f"wrote {out / 'records_normalized.csv'} ({len(records)} rows)")
 
 
@@ -386,29 +365,18 @@ def cmd_report(config: dict, args) -> None:
         "survival_max": max(r.survival_mean for r in records),
     }
     recon_path = _get(config, "reconstruction", str, None)
-    plot_rows = [
-        ("survival", str(r.n_pulses), repr(float(r.survival_mean))) for r in records
-    ]
+    plot_rows = [("survival", r.n_pulses, float(r.survival_mean)) for r in records]
     if recon_path:
-        spectrum = serialize.read_spectrum_csv(recon_path, 1.0)
-        summary["reconstruction_bins"] = int(spectrum.freqs.size)
-        summary["reconstruction_peak_hz"] = float(spectrum.freqs[np.argmax(spectrum.values)])
-        plot_rows += [
-            ("spectrum", repr(float(f)), repr(float(v)))
-            for f, v in zip(spectrum.freqs, spectrum.values)
-        ]
+        freqs, values = serialize.read_spectrum_arrays(recon_path)
+        summary["reconstruction_bins"] = int(freqs.size)
+        summary["reconstruction_peak_hz"] = float(freqs[np.argmax(values)])
+        plot_rows += [("spectrum", f, v) for f, v in zip(freqs, values)]
     fit_path = _get(config, "fit_report", str, None)
     if fit_path:
-        with open(fit_path) as fh:
-            summary["fit"] = json.load(fh)
-    with open(out / "report.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        summary["fit"] = serialize.read_json(fit_path)
+    serialize.write_json(out / "report.json", summary)
     if args.emit_plot_data:
-        with open(out / "plot_data.csv", "w", newline="") as fh:
-            fh.write("series,x,y\n")
-            for series, x, y in plot_rows:
-                fh.write(f"{series},{x},{y}\n")
+        serialize.write_csv(out / "plot_data.csv", ("series", "x", "y"), plot_rows)
     print(f"wrote {out / 'report.json'}")
 
 

@@ -1,15 +1,19 @@
 """File formats: CSV for tabular artifacts, JSON documents for structures.
 
-Floats are written with ``repr`` so a value survives a write/read cycle
-bit-exactly and identical runs produce identical bytes.
+Every artifact goes through one CSV writer, one CSV row reader with one cell
+parser, and one JSON reader/writer.  Floats are written with ``repr`` so a
+value survives a write/read cycle bit-exactly and identical runs produce
+identical bytes.  Readers accept finite numbers only and name the file (and,
+for CSV, the line and column) of the first bad value.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import dataclasses
 import json
-from typing import Sequence
+import math
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,38 +31,112 @@ RECORD_FIELDS = (
     "trajectories",
     "seed",
 )
+SPECTRUM_FIELDS = ("freq_hz", "psd_rad2_per_hz")
+RAW_SURVIVAL_FIELDS = ("seq_index", "trajectory", "survival")
 
 
 class SchemaError(ValueError):
     """A file violates its documented schema."""
 
 
-def _fmt(x: float) -> str:
+# -- the codec ------------------------------------------------------------------
+
+def _cell_text(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(x)
     return repr(float(x))
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: ints as decimals, other numbers as ``repr(float(x))``, ``\\n`` endings."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell_text, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_text(header, rows))
+
+
+def _csv_rows(path, required: Sequence[str]) -> "list[tuple[int, dict]]":
+    """(line number, row) for each data row, after checking the required columns once."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path}: empty file")
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise SchemaError(f"{path}: missing columns {missing}")
+            return [(reader.line_num, row) for row in reader]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def _cell(path, line: int, row: dict, column: str, kind=float, lo=-math.inf, hi=math.inf):
+    """One cell as an int or a finite float in [lo, hi]."""
+    text = row[column]
+    try:
+        value = kind(text)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{path}: line {line}: {column}: not {kind.__name__}: {text!r}") from None
+    if not (lo <= value <= hi and abs(value) < math.inf):  # also rejects nan and +-inf
+        raise SchemaError(f"{path}: line {line}: {column}: {text} not finite in [{lo}, {hi}]")
+    return value
+
+
+def write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def read_json(path):
+    """Parse a JSON document holding finite numbers only."""
+
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise SchemaError(f"{path}: number not finite: {token[:32]}")
+        return value
+
+    def integer(token: str) -> int:
+        finite(token)  # an integer beyond the float range cannot be used as a number
+        return int(token)
+
+    try:
+        with open(path) as fh:
+            return json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
 # -- spectra ----------------------------------------------------------------
 
 def write_spectrum_csv(path, spectrum: "Spectrum | SpectrumEstimate") -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("freq_hz,psd_rad2_per_hz\n")
-        for f, v in zip(spectrum.freqs, spectrum.values):
-            fh.write(f"{_fmt(f)},{_fmt(v)}\n")
+    write_csv(path, SPECTRUM_FIELDS, zip(spectrum.freqs, spectrum.values))
+
+
+def read_spectrum_arrays(path) -> "tuple[np.ndarray, np.ndarray]":
+    """Frequencies and PSD values of a spectrum or reconstruction CSV."""
+    rows = _csv_rows(path, SPECTRUM_FIELDS)
+    return tuple(
+        np.array([_cell(path, i, row, column) for i, row in rows], dtype=float)
+        for column in SPECTRUM_FIELDS
+    )
 
 
 def read_spectrum_csv(path, sample_period: float) -> Spectrum:
-    freqs, values = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or reader.fieldnames[:2] != ["freq_hz", "psd_rad2_per_hz"]:
-            raise SchemaError(f"{path}: expected header freq_hz,psd_rad2_per_hz")
-        for i, row in enumerate(reader, start=2):
-            try:
-                freqs.append(float(row["freq_hz"]))
-                values.append(float(row["psd_rad2_per_hz"]))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: line {i}: {exc}") from exc
-    return Spectrum(freqs=np.array(freqs), values=np.array(values), sample_period=sample_period)
+    freqs, values = read_spectrum_arrays(path)
+    try:
+        return Spectrum(freqs=freqs, values=values, sample_period=sample_period)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: invalid spectrum: {exc}") from exc
 
 
 def write_spectrum_estimate_csv(
@@ -67,10 +145,8 @@ def write_spectrum_estimate_csv(
     """Reconstruction CSV with confidence columns (stderr-based if no bootstrap)."""
     lo = band.lower if band is not None else np.clip(estimate.values - 2 * estimate.stderr, 0, None)
     hi = band.upper if band is not None else estimate.values + 2 * estimate.stderr
-    with open(path, "w", newline="") as fh:
-        fh.write("freq_hz,psd_rad2_per_hz,ci_lo,ci_hi\n")
-        for f, v, a, b in zip(estimate.freqs, estimate.values, lo, hi):
-            fh.write(f"{_fmt(f)},{_fmt(v)},{_fmt(a)},{_fmt(b)}\n")
+    rows = zip(estimate.freqs, estimate.values, lo, hi)
+    write_csv(path, SPECTRUM_FIELDS + ("ci_lo", "ci_hi"), rows)
 
 
 # -- models ------------------------------------------------------------------
@@ -85,14 +161,11 @@ def model_to_dict(model: ArmaModel) -> dict:
 
 
 def write_model_json(path, model: ArmaModel) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def read_model_json(path) -> ArmaModel:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         return ArmaModel(
             ar=tuple(doc["ar"]),
@@ -119,16 +192,12 @@ def sequence_to_dict(seq: PulseSequence) -> dict:
 
 
 def write_sequences_json(path, sequences: Sequence[PulseSequence]) -> None:
-    with open(path, "w") as fh:
-        json.dump([sequence_to_dict(s) for s in sequences], fh, indent=2)
-        fh.write("\n")
+    write_json(path, [sequence_to_dict(s) for s in sequences])
 
 
 def read_sequences_json(path) -> "list[PulseSequence]":
-    with open(path) as fh:
-        docs = json.load(fh)
     out = []
-    for doc in docs:
+    for doc in read_json(path):
         try:
             out.append(
                 PulseSequence(
@@ -147,41 +216,33 @@ def read_sequences_json(path) -> "list[PulseSequence]":
 # -- filter functions ----------------------------------------------------------
 
 def write_filter_csv(path, filt: FilterFunction) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("freq_hz,weight\n")
-        for f, w in zip(filt.freqs, filt.weights):
-            fh.write(f"{_fmt(f)},{_fmt(w)}\n")
+    write_csv(path, ("freq_hz", "weight"), zip(filt.freqs, filt.weights))
 
 
 # -- experiment records ---------------------------------------------------------
 
+def record_row(r: ExperimentRecord) -> tuple:
+    """One records-CSV row, in ``RECORD_FIELDS`` order."""
+    return (r.label, r.n_pulses, float(r.survival_mean), float(r.survival_stderr),
+            r.shots, r.trajectories, r.seed)
+
+
 def records_to_csv_text(records: Sequence[ExperimentRecord]) -> str:
-    out = io.StringIO()
-    out.write(",".join(RECORD_FIELDS) + "\n")
-    for r in records:
-        out.write(
-            f"{r.label},{r.n_pulses},{_fmt(r.survival_mean)},{_fmt(r.survival_stderr)},"
-            f"{r.shots},{r.trajectories},{r.seed}\n"
-        )
-    return out.getvalue()
+    return _csv_text(RECORD_FIELDS, map(record_row, records))
 
 
 def write_records_csv(path, records: Sequence[ExperimentRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(records_to_csv_text(records))
+    write_csv(path, RECORD_FIELDS, map(record_row, records))
 
 
 def write_raw_survivals_csv(path, records: Sequence[ExperimentRecord]) -> None:
     """Per-trajectory survival fractions, one row per (sequence, trajectory)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("seq_index,trajectory,survival\n")
-        for r in records:
-            if r.trajectory_survivals is None:
-                raise ValueError(
-                    f"record {r.label} has no per-trajectory data (keep_raw was off)"
-                )
-            for t, value in enumerate(r.trajectory_survivals):
-                fh.write(f"{r.label},{t},{_fmt(value)}\n")
+    for r in records:
+        if r.trajectory_survivals is None:
+            raise ValueError(f"record {r.label} has no per-trajectory data (keep_raw was off)")
+    write_csv(path, RAW_SURVIVAL_FIELDS, (
+        (r.label, t, value) for r in records for t, value in enumerate(r.trajectory_survivals)
+    ))
 
 
 def read_raw_survivals_csv(
@@ -189,16 +250,9 @@ def read_raw_survivals_csv(
 ) -> "list[ExperimentRecord]":
     """Attach per-trajectory survivals from a sidecar file to matching records."""
     raw: "dict[int, list[float]]" = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["seq_index", "trajectory", "survival"]
-        if reader.fieldnames != expected:
-            raise SchemaError(f"{path}: expected header {','.join(expected)}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                raw.setdefault(int(row["seq_index"]), []).append(float(row["survival"]))
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: line {i}: {exc}") from exc
+    for i, row in _csv_rows(path, RAW_SURVIVAL_FIELDS):
+        label = _cell(path, i, row, "seq_index", int)
+        raw.setdefault(label, []).append(_cell(path, i, row, "survival", lo=0.0, hi=1.0))
     out = []
     for r in records:
         if r.label not in raw:
@@ -209,18 +263,7 @@ def read_raw_survivals_csv(
                 f"{path}: sequence {r.label} has {values.size} rows, "
                 f"record expects {r.trajectories}"
             )
-        out.append(
-            ExperimentRecord(
-                label=r.label,
-                n_pulses=r.n_pulses,
-                survival_mean=r.survival_mean,
-                survival_stderr=r.survival_stderr,
-                shots=r.shots,
-                trajectories=r.trajectories,
-                seed=r.seed,
-                trajectory_survivals=values,
-            )
-        )
+        out.append(dataclasses.replace(r, trajectory_survivals=values))
     return out
 
 
@@ -228,53 +271,28 @@ def read_records_csv(path, impute_stderr: bool = False) -> "list[ExperimentRecor
     """Read records; with ``impute_stderr`` a missing/blank stderr column is
     replaced by the binomial estimate sqrt(p (1-p) / total_shots)."""
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty records file")
-        required = set(RECORD_FIELDS) - {"survival_stderr"}
-        missing = required - set(reader.fieldnames)
-        if missing:
-            raise SchemaError(f"{path}: missing columns {sorted(missing)}")
-        has_stderr = "survival_stderr" in reader.fieldnames
-        for i, row in enumerate(reader, start=2):
-            try:
-                label = int(row["seq_index"])
-                n_pulses = int(row["n_pulses"])
-                mean = float(row["survival_mean"])
-                shots = int(row["shots"])
-                trajectories = int(row["trajectories"])
-                seed = int(row["seed"])
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{path}: line {i}: {exc}") from exc
-            if not 0.0 <= mean <= 1.0:
-                raise SchemaError(
-                    f"{path}: line {i}: survival_mean {mean} outside [0, 1]"
-                )
-            if shots < 1 or trajectories < 1:
-                raise SchemaError(f"{path}: line {i}: counts must be >= 1")
-            raw_stderr = row.get("survival_stderr", "") if has_stderr else ""
-            if raw_stderr not in ("", None):
-                stderr = float(raw_stderr)
-                if stderr < 0:
-                    raise SchemaError(f"{path}: line {i}: negative stderr")
-            elif impute_stderr:
-                total = shots * trajectories
-                stderr = float(np.sqrt(max(mean * (1.0 - mean), 0.0) / total))
-            else:
-                raise SchemaError(
-                    f"{path}: line {i}: survival_stderr missing (pass impute_stderr=True "
-                    f"to fill in the binomial estimate)"
-                )
-            records.append(
-                ExperimentRecord(
-                    label=label,
-                    n_pulses=n_pulses,
-                    survival_mean=mean,
-                    survival_stderr=stderr,
-                    shots=shots,
-                    trajectories=trajectories,
-                    seed=seed,
-                )
+    for i, row in _csv_rows(path, [f for f in RECORD_FIELDS if f != "survival_stderr"]):
+        mean = _cell(path, i, row, "survival_mean", lo=0.0, hi=1.0)
+        shots = _cell(path, i, row, "shots", int, lo=1)
+        trajectories = _cell(path, i, row, "trajectories", int, lo=1)
+        if row.get("survival_stderr") not in ("", None):
+            stderr = _cell(path, i, row, "survival_stderr", lo=0.0)
+        elif impute_stderr:
+            stderr = float(np.sqrt(max(mean * (1.0 - mean), 0.0) / (shots * trajectories)))
+        else:
+            raise SchemaError(
+                f"{path}: line {i}: survival_stderr missing (pass impute_stderr=True "
+                f"to fill in the binomial estimate)"
             )
+        records.append(
+            ExperimentRecord(
+                label=_cell(path, i, row, "seq_index", int),
+                n_pulses=_cell(path, i, row, "n_pulses", int),
+                survival_mean=mean,
+                survival_stderr=stderr,
+                shots=shots,
+                trajectories=trajectories,
+                seed=_cell(path, i, row, "seed", int),
+            )
+        )
     return records

@@ -4,19 +4,23 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from dephasekit.cli import main
-from dephasekit.noise_models import ArmaModel, design_bandpass, psd
-from dephasekit.qubit_sim import GateMode, run_experiment
-from dephasekit.sequences import filter_function, make_fttps
+from dephasekit.noise_models import ArmaModel, Spectrum, design_bandpass, psd
+from dephasekit.qubit_sim import ExperimentRecord, GateMode, run_experiment
+from dephasekit.sequences import PulseSequence, filter_function, make_fttps
 from dephasekit.serialize import (
     SchemaError,
     read_model_json,
+    read_raw_survivals_csv,
     read_records_csv,
     read_sequences_json,
     read_spectrum_csv,
     write_filter_csv,
     write_model_json,
+    write_raw_survivals_csv,
     write_records_csv,
     write_sequences_json,
     write_spectrum_csv,
@@ -107,6 +111,149 @@ def test_records_schema_errors(tmp_path):
     missing.write_text("seq_index,survival_mean\n0,0.9\n")
     with pytest.raises(SchemaError, match="missing columns"):
         read_records_csv(missing)
+
+
+RECORD_HEADER = "seq_index,n_pulses,survival_mean,survival_stderr,shots,trajectories,seed\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, read, match",
+    [
+        ("records.csv", RECORD_HEADER + "0,0,0.9,0.01,10,1,7\n1,1,0.8,nan,10,1,7\n",
+         read_records_csv, "line 3: survival_stderr"),
+        ("records.csv", RECORD_HEADER + "0,0,0.9,inf,10,1,7\n",
+         read_records_csv, "line 2: survival_stderr"),
+        ("spectrum.csv", "freq_hz,psd_rad2_per_hz\n0.0,1.0\n5.0,nan\n",
+         lambda p: read_spectrum_csv(p, T_G), "line 3: psd_rad2_per_hz"),
+        ("raw.csv", "seq_index,trajectory,survival\n0,0,nan\n",
+         lambda p: read_raw_survivals_csv(p, []), "line 2: survival"),
+        ("raw.csv", "seq_index,trajectory,survival\n0,0,0.5\n0,1,1.5\n",
+         lambda p: read_raw_survivals_csv(p, []), "line 3: survival"),
+        ("model.json", '{"ar": [], "ma": [1.0], "drive_std": NaN, "sample_period_s": 1e-7}',
+         read_model_json, "NaN"),
+        ("model.json", '{"ar": [], "ma": [1.0], "drive_std": 1.0, "sample_period_s": 1e999}',
+         read_model_json, "1e999"),
+        ("model.json", '{"ar": [], "ma": [1.0], "drive_std": 1' + "0" * 400 + "}",
+         read_model_json, "not finite"),
+        ("seqs.json", '[{"label": 0, "n_slots": 4, "gate_period_s": Infinity, "pulses": []}]',
+         read_sequences_json, "Infinity"),
+    ],
+    ids=["records-stderr-nan", "records-stderr-inf", "spectrum-nan", "raw-nan", "raw-above-1",
+         "model-nan", "model-1e999", "model-huge-int", "sequences-infinity"],
+)
+def test_readers_reject_non_finite_and_out_of_range(tmp_path, name, text, read, match):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=match) as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
+# write -> read is bit-exact for every format, down to the smallest subnormal
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+ROUND_TRIP = settings(
+    derandomize=True, max_examples=40, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def records_strategy(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    return [
+        ExperimentRecord(
+            label=label,
+            n_pulses=draw(INT64),
+            survival_mean=draw(UNIT),
+            survival_stderr=draw(NON_NEGATIVE),
+            shots=draw(st.integers(min_value=1, max_value=2**62)),
+            trajectories=len(raw),
+            seed=draw(INT64),
+            trajectory_survivals=np.array(raw),
+        )
+        for label in range(n)
+        for raw in [draw(st.lists(UNIT, min_size=1, max_size=6))]
+    ]
+
+
+@ROUND_TRIP
+@given(
+    freqs=st.lists(FINITE, unique=True, max_size=20).map(sorted),
+    values=st.lists(NON_NEGATIVE, min_size=20, max_size=20),
+)
+@example(freqs=[0.0, 5e-324, 1e-310, 1.7976931348623157e308], values=[5e-324, 0.0, 1e-310, 1.0])
+def test_spectrum_csv_roundtrip_bit_exact(tmp_path, freqs, values):
+    spec = Spectrum(freqs=np.array(freqs), values=np.array(values[: len(freqs)]), sample_period=T_G)
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(path, spec)
+    back = read_spectrum_csv(path, T_G)
+    assert _bits(back.freqs) == _bits(spec.freqs)
+    assert _bits(back.values) == _bits(spec.values)
+
+
+@ROUND_TRIP
+@given(records=records_strategy())
+@example(records=[ExperimentRecord(0, 0, 5e-324, 5e-324, 1, 2, 0, np.array([5e-324, 1e-310]))])
+def test_records_and_raw_survivals_csv_roundtrip_bit_exact(tmp_path, records):
+    records_path, raw_path = tmp_path / "records.csv", tmp_path / "raw.csv"
+    write_records_csv(records_path, records)
+    write_raw_survivals_csv(raw_path, records)
+    back = read_raw_survivals_csv(raw_path, read_records_csv(records_path))
+    assert back == records
+    for r, b in zip(records, back):
+        assert _bits([r.survival_mean, r.survival_stderr]) == _bits(
+            [b.survival_mean, b.survival_stderr]
+        )
+        assert _bits(r.trajectory_survivals) == _bits(b.trajectory_survivals)
+
+
+@ROUND_TRIP
+@given(
+    ar=st.lists(FINITE, max_size=4),
+    ma=st.lists(FINITE, min_size=1, max_size=4).filter(any),  # a driven model needs a nonzero tap
+    drive_std=NON_NEGATIVE,
+    sample_period=st.floats(min_value=5e-324, allow_infinity=False),
+)
+@example(ar=[-5e-324], ma=[5e-324, -0.0], drive_std=5e-324, sample_period=5e-324)
+def test_model_json_roundtrip_bit_exact(tmp_path, ar, ma, drive_std, sample_period):
+    model = ArmaModel(ar=tuple(ar), ma=tuple(ma), drive_std=drive_std, sample_period=sample_period)
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    back = read_model_json(path)
+    assert back == model
+    assert _bits(back.ar + back.ma + (back.drive_std, back.sample_period)) == _bits(
+        model.ar + model.ma + (model.drive_std, model.sample_period)
+    )
+
+
+@st.composite
+def sequences_strategy(draw):
+    out = []
+    for label in range(draw(st.integers(min_value=0, max_value=4))):
+        n_slots = draw(st.integers(min_value=1, max_value=40))
+        slots = sorted(draw(st.sets(st.integers(min_value=1, max_value=n_slots), max_size=8)))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(slots), max_size=len(slots)))
+        period = draw(st.floats(min_value=5e-324, allow_infinity=False))
+        out.append(PulseSequence(n_slots, tuple(slots), tuple(signs), period, label))
+    return out
+
+
+@ROUND_TRIP
+@given(seqs=sequences_strategy())
+@example(seqs=[PulseSequence(3, (1, 3), (1, -1), 5e-324, 7)])
+def test_sequences_json_roundtrip_bit_exact(tmp_path, seqs):
+    path = tmp_path / "seqs.json"
+    write_sequences_json(path, seqs)
+    back = read_sequences_json(path)
+    assert back == seqs
+    assert _bits([s.gate_period for s in back]) == _bits([s.gate_period for s in seqs])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +363,28 @@ def test_cli_reconstruct_and_fit(pipeline, tmp_path):
         ["report", "--config", report_cfg, "--out-dir", str(out), "--emit-plot-data"]
     ) == 0
     assert (out / "plot_data.csv").read_text().startswith("series,x,y\n")
+
+
+def test_cli_fit_residuals_parse(pipeline):
+    tmp, out, _ = pipeline
+    fit_cfg = write_json(
+        tmp / "fit.json",
+        {
+            "schema_version": 1,
+            "records": str(out / "records.csv"),
+            "sequences": str(out / "sequences.json"),
+            "model_kind": "white_only",
+            "n_starts": 2,
+        },
+    )
+    assert main(["fit", "--config", fit_cfg, "--out-dir", str(out)]) == 0
+    lines = (out / "fit_residuals.csv").read_text().splitlines()
+    assert lines[0] == "seq_index,residual"
+    assert len(lines) == 25
+    for line in lines[1:]:
+        label, residual = line.split(",")
+        int(label)
+        float(residual)
 
 
 def test_cli_export_circuits(tmp_path):
@@ -330,6 +499,46 @@ def test_cli_numerical_failure_exit_code(tmp_path):
         },
     )
     assert main(["design", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+
+
+def _bad_input_run(tmp_path, case):
+    """(argv, faulty file, needs a line number) for one bad-input case."""
+    model = tmp_path / "model.json"
+    records = tmp_path / "records.csv"
+    records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n1,1,0.8,nan,100,1,7\n")
+    seqs = tmp_path / "seqs.json"
+    write_sequences_json(seqs, make_fttps(2, 16, T_G))
+    simulate = {
+        "schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+        "gate_period_s": T_G, "model": str(model), "mode": "gate",
+        "trajectories": 2, "shots_per_trajectory": 10,
+    }
+    if case == "reconstruct-nan-stderr":
+        cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
+        return "reconstruct", cfg, records, True
+    if case == "simulate-missing-model":
+        return "simulate", simulate, model, False
+    if case == "simulate-malformed-model":
+        model.write_text('{"ar": [], "ma": [1.0],\n "drive_std": }')
+        return "simulate", simulate, model, True
+    records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    fit_report = tmp_path / "fit_report.json"
+    cfg = {"schema_version": 1, "records": str(records), "fit_report": str(fit_report)}
+    return "report", cfg, fit_report, False
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["reconstruct-nan-stderr", "simulate-missing-model", "simulate-malformed-model",
+     "report-missing-fit-report"],
+)
+def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
+    command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)
+    cfg_path = write_json(tmp_path / "cfg.json", cfg)
+    assert main([command, "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(faulty) in err
+    assert ("line " in err) == has_line
 
 
 def test_cli_full_pipeline_byte_reproducible(pipeline, tmp_path):
