@@ -20,7 +20,6 @@ import numpy as np
 from . import circuits, noise_models, predictor, qns_recon, qubit_sim, serialize, sequences
 from .noise_models import UnstableModelError
 from .qns_recon import RankDeficientError
-from .seeds import STREAM_INJECTED, SeedLineage
 from .serialize import SchemaError
 
 SCHEMA_VERSION = 1
@@ -312,15 +311,11 @@ def cmd_export_circuits(config: dict, args) -> None:
     target = _get(config, "target_state", int, 1)
     prefix = _get(config, "prefix", str, "circuit")
     seed = _seed(config, args)
-    root = SeedLineage(seed)
     count = 0
     for seq in seqs:
-        for r in range(n_traj):
-            trajectory = noise_models.generate_trajectory(
-                model, seq.n_slots, root.child(seq.label, r, STREAM_INJECTED)
-            )
-            text = circuits.emit_circuit(seq, trajectory.phases, target_state=target)
-            circuits.verify_roundtrip(text, seq, trajectory.phases)
+        for r, phases in enumerate(qubit_sim._injected_gate_phases(seq, model, n_traj, seed)):
+            text = circuits.emit_circuit(seq, phases, target_state=target)
+            circuits.verify_roundtrip(text, seq, phases)
             path = out / f"{prefix}_seq{seq.label:03d}_traj{r:03d}.qasm"
             path.write_text(text)
             count += 1

@@ -188,28 +188,34 @@ def _synthesize_phases(model: ArmaModel, normals: np.ndarray) -> np.ndarray:
     return lfilter(np.asarray(model.ma), model.ar_poly(), normals)[..., model.burn_in:]
 
 
-def _transfer_psd(model: ArmaModel, theta: np.ndarray) -> np.ndarray:
-    """Discrete-time PSD S(theta) of the model."""
-    z = np.exp(-1j * theta)
-    b = np.asarray(model.ma, dtype=float)
-    num = np.polyval(b[::-1], z)  # sum_j b_j e^{-i theta j}
-    a = np.concatenate([[1.0], -np.asarray(model.ar, dtype=float)])
-    den = np.polyval(a[::-1], z)  # 1 - sum_i a_i e^{-i theta i}
-    return model.drive_std**2 * np.abs(num) ** 2 / np.abs(den) ** 2
+def _grid_freqs(grid_size: int, period: float) -> np.ndarray:
+    """The one spectral grid f_m = m / (2 t (grid_size-1)); PSDs and filters compare it exactly."""
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    theta = np.pi * np.arange(grid_size) / (grid_size - 1)
+    return theta / (2.0 * np.pi * period)
+
+
+def _dtft_power(coeffs, grid_size: int) -> np.ndarray:
+    """|sum_j c_j e^{-i theta_m j}|^2 on theta_m = pi m / (grid_size-1), from one rFFT.
+
+    e^{-i theta_m j} has period n = 2 (grid_size-1) in j, so folding j modulo n is exact.
+    """
+    n = 2 * (grid_size - 1)
+    folded = np.bincount(np.arange(len(coeffs)) % n, weights=coeffs, minlength=n)
+    return np.abs(np.fft.rfft(folded)) ** 2
 
 
 def psd(model: ArmaModel, grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
-    """One-sided physical PSD on f_m = m / (2 t_s (grid_size-1)), m = 0..grid_size-1.
+    """One-sided physical PSD 2 t_s drive_std^2 |B|^2 / |A|^2 on f_m = m / (2 t_s (grid_size-1)).
 
     The grid must be fine enough for downstream quadrature; with the default
     size the trapezoidal integral reproduces r(0) to better than 1e-6 relative
     for every model produced by the designers.
     """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    theta = np.pi * np.arange(grid_size) / (grid_size - 1)
-    values = 2.0 * model.sample_period * _transfer_psd(model, theta)
-    freqs = theta / (2.0 * np.pi * model.sample_period)
+    freqs = _grid_freqs(grid_size, model.sample_period)
+    ratio = _dtft_power(model.ma, grid_size) / _dtft_power(model.ar_poly(), grid_size)
+    values = 2.0 * model.sample_period * (model.drive_std**2 * ratio)
     return Spectrum(freqs=freqs, values=values, sample_period=model.sample_period)
 
 

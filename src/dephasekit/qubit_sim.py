@@ -184,21 +184,26 @@ def _stationary_check(model: Optional[ArmaModel]) -> None:
         raise UnstableModelError(model.stability_diagnostic())
 
 
+def _binomial_stderr(mean: float, total: int) -> float:
+    """Floored binomial standard error sqrt(p~ (1-p~) / n), p~ = (s + 1/2) / (n + 1).
+
+    Unlike sqrt(p (1-p) / n) it stays positive for all-success and all-failure
+    records, so downstream inverse-variance weights stay finite.
+    """
+    p_tilde = (mean * total + 0.5) / (total + 1.0)
+    return float(np.sqrt(p_tilde * (1.0 - p_tilde) / total))
+
+
 def _survival_stats(fractions: np.ndarray, shots_each: int) -> tuple[float, float]:
     """Mean and standard error of the mean across trajectory blocks.
 
-    The standard error combines trajectory-to-trajectory scatter with a
-    floored binomial term so that downstream inverse-variance weights stay
-    finite even for all-success records.
+    The standard error is the larger of the trajectory-to-trajectory scatter
+    and :func:`_binomial_stderr`.
     """
     n_traj = fractions.size
-    total = n_traj * shots_each
     mean = float(fractions.mean())
     scatter = float(fractions.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
-    successes = mean * total
-    p_tilde = (successes + 0.5) / (total + 1.0)
-    binomial = float(np.sqrt(p_tilde * (1.0 - p_tilde) / total))
-    return mean, max(scatter, binomial)
+    return mean, max(scatter, _binomial_stderr(mean, n_traj * shots_each))
 
 
 def _gate_phase_block(
@@ -217,6 +222,20 @@ def _gate_phase_block(
         rng = root.child(label, r, stream).generator()
         normals[r] = rng.standard_normal(normals.shape[1])
     return _synthesize_phases(model, normals)
+
+
+def _injected_gate_phases(
+    seq: PulseSequence, model: ArmaModel, trajectories: int, seed: "int | SeedLineage"
+) -> np.ndarray:
+    """(trajectories, n_slots) gate-mode injected phases of ``seq``, as simulated and exported.
+
+    Row r equals ``generate_trajectory(model, seq.n_slots, root.child(seq.label, r,
+    STREAM_INJECTED))``.  The model must be stable and sampled at the gate period.
+    """
+    _stationary_check(model)
+    _check_gate_aligned(model, seq.gate_period, "injected")
+    root = as_lineage(seed)
+    return _gate_phase_block(model, trajectories, seq.n_slots, root, seq.label, STREAM_INJECTED)
 
 
 def _sdr_slot_phases(
@@ -267,7 +286,6 @@ def run_experiment(
         raise ValueError("all sequences must share one gate period")
     _check_gate_aligned(native_model, gate_period, "native")
     if isinstance(mode, GateMode):
-        _check_gate_aligned(model, gate_period, "injected")
         return [
             _run_gate_sequence(s, model, native_model, perr, mode, root, target_state, keep_raw)
             for s in sequences
@@ -292,7 +310,7 @@ def _run_gate_sequence(
 ) -> ExperimentRecord:
     n_traj = mode.trajectories
     k = seq.label
-    phases = _gate_phase_block(model, n_traj, seq.n_slots, root, k, STREAM_INJECTED)
+    phases = _injected_gate_phases(seq, model, n_traj, root)
     if native_model is not None:
         phases = phases + _gate_phase_block(
             native_model, n_traj, seq.n_slots, root, k, STREAM_NATIVE

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise_models import DEFAULT_GRID_SIZE, Spectrum
+from .noise_models import DEFAULT_GRID_SIZE, Spectrum, _dtft_power, _grid_freqs
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,12 @@ def filter_function(seq: PulseSequence, grid_size: int = DEFAULT_GRID_SIZE) -> F
     the trapezoidal rule being exact for MA spectra once
     2*(grid_size-1) exceeds the highest harmonic of S * |Y|^2.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    y = switching_function(seq)
-    n = seq.n_slots
-    theta = np.pi * np.arange(grid_size) / (grid_size - 1)
-    response = np.exp(-1j * np.outer(theta, np.arange(1, n + 1))) @ y
-    density = np.abs(response) ** 2 / 2.0
+    freqs = _grid_freqs(grid_size, seq.gate_period)
+    density = _dtft_power(switching_function(seq), grid_size) / 2.0  # |Y| ignores the j=1 start
     df = 1.0 / (2.0 * seq.gate_period * (grid_size - 1))
     trapz = np.full(grid_size, df)
     trapz[0] *= 0.5
     trapz[-1] *= 0.5
-    freqs = theta / (2.0 * np.pi * seq.gate_period)
     return FilterFunction(
         freqs=freqs,
         weights=density * trapz,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .noise_models import ArmaModel, Spectrum
 from .qns_recon import BootstrapSpectrum, SpectrumEstimate
-from .qubit_sim import ExperimentRecord
+from .qubit_sim import ExperimentRecord, _binomial_stderr
 from .sequences import FilterFunction, PulseSequence
 
 RECORD_FIELDS = (
@@ -71,9 +71,12 @@ def _csv_rows(path, required: Sequence[str]) -> "list[tuple[int, dict]]":
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
-            return [(reader.line_num, row) for row in reader]
+            rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return rows
 
 
 def _cell(path, line: int, row: dict, column: str, kind=float, lo=-math.inf, hi=math.inf):
@@ -196,8 +199,11 @@ def write_sequences_json(path, sequences: Sequence[PulseSequence]) -> None:
 
 
 def read_sequences_json(path) -> "list[PulseSequence]":
+    docs = read_json(path)
+    if not isinstance(docs, list) or not docs:
+        raise SchemaError(f"{path}: expected a non-empty list of sequence documents")
     out = []
-    for doc in read_json(path):
+    for doc in docs:
         try:
             out.append(
                 PulseSequence(
@@ -269,7 +275,7 @@ def read_raw_survivals_csv(
 
 def read_records_csv(path, impute_stderr: bool = False) -> "list[ExperimentRecord]":
     """Read records; with ``impute_stderr`` a missing/blank stderr column is
-    replaced by the binomial estimate sqrt(p (1-p) / total_shots)."""
+    replaced by the simulator's floored binomial estimate (``_binomial_stderr``)."""
     records = []
     for i, row in _csv_rows(path, [f for f in RECORD_FIELDS if f != "survival_stderr"]):
         mean = _cell(path, i, row, "survival_mean", lo=0.0, hi=1.0)
@@ -278,7 +284,7 @@ def read_records_csv(path, impute_stderr: bool = False) -> "list[ExperimentRecor
         if row.get("survival_stderr") not in ("", None):
             stderr = _cell(path, i, row, "survival_stderr", lo=0.0)
         elif impute_stderr:
-            stderr = float(np.sqrt(max(mean * (1.0 - mean), 0.0) / (shots * trajectories)))
+            stderr = _binomial_stderr(mean, shots * trajectories)
         else:
             raise SchemaError(
                 f"{path}: line {i}: survival_stderr missing (pass impute_stderr=True "

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dephasekit.circuits import parse_circuit
 from dephasekit.cli import main
-from dephasekit.noise_models import ArmaModel, Spectrum, design_bandpass, psd
+from dephasekit.noise_models import ArmaModel, Spectrum, design_bandpass, generate_trajectory, psd
 from dephasekit.qubit_sim import ExperimentRecord, GateMode, run_experiment
-from dephasekit.sequences import PulseSequence, filter_function, make_fttps
+from dephasekit.seeds import STREAM_INJECTED, SeedLineage
+from dephasekit.sequences import PulseSequence, filter_function, make_fttps, make_rfttps
 from dephasekit.serialize import (
     SchemaError,
     read_model_json,
@@ -96,7 +98,22 @@ def test_records_stderr_imputation(tmp_path):
     with pytest.raises(SchemaError, match="stderr"):
         read_records_csv(path)
     rec = read_records_csv(path, impute_stderr=True)[0]
-    assert rec.survival_stderr == pytest.approx(np.sqrt(0.9 * 0.1 / 1000))
+    p_tilde = (900 + 0.5) / (1000 + 1)  # the simulator's floored binomial rule
+    assert rec.survival_stderr == pytest.approx(np.sqrt(p_tilde * (1 - p_tilde) / 1000))
+
+
+def test_records_stderr_imputation_all_success(tmp_path):
+    # sqrt(p (1-p) / n) is 0 at p = 1, which would give the row an unbounded NNLS weight
+    path = tmp_path / "hw.csv"
+    path.write_text(RECORD_HEADER + "0,0,1.0,,100,10,7\n1,1,0.999,0.001,100,10,7\n")
+    rec = read_records_csv(path, impute_stderr=True)[0]
+    p_tilde = (1000 + 0.5) / (1000 + 1)
+    assert rec.survival_stderr == np.sqrt(p_tilde * (1 - p_tilde) / 1000) > 0
+    # the same rule as the simulator's for a noiseless (all-success) record
+    quiet = ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=T_G)
+    simulated = run_experiment(make_fttps(1, 16, T_G), quiet, mode=GateMode(10, 100))[0]
+    assert simulated.survival_mean == 1.0
+    assert rec.survival_stderr == simulated.survival_stderr
 
 
 def test_records_schema_errors(tmp_path):
@@ -185,7 +202,7 @@ def records_strategy(draw):
 
 @ROUND_TRIP
 @given(
-    freqs=st.lists(FINITE, unique=True, max_size=20).map(sorted),
+    freqs=st.lists(FINITE, unique=True, min_size=1, max_size=20).map(sorted),  # empty: exit 2
     values=st.lists(NON_NEGATIVE, min_size=20, max_size=20),
 )
 @example(freqs=[0.0, 5e-324, 1e-310, 1.7976931348623157e308], values=[5e-324, 0.0, 1e-310, 1.0])
@@ -236,7 +253,7 @@ def test_model_json_roundtrip_bit_exact(tmp_path, ar, ma, drive_std, sample_peri
 @st.composite
 def sequences_strategy(draw):
     out = []
-    for label in range(draw(st.integers(min_value=0, max_value=4))):
+    for label in range(draw(st.integers(min_value=1, max_value=4))):  # empty: exit 2
         n_slots = draw(st.integers(min_value=1, max_value=40))
         slots = sorted(draw(st.sets(st.integers(min_value=1, max_value=n_slots), max_size=8)))
         signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(slots), max_size=len(slots)))
@@ -426,6 +443,45 @@ def test_cli_export_circuits(tmp_path):
     assert text.count("u1(") == 16
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        ArmaModel(ar=(), ma=(0.05, -0.02, 0.01), drive_std=1.0, sample_period=T_G),
+        ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G),
+    ],
+    ids=["ma", "ar2"],
+)
+def test_cli_export_phases_are_simulator_phases(tmp_path, model):
+    # every exported u1 angle is the injected phase the simulator draws for the
+    # same (seed, sequence, trajectory), bit for bit
+    model_path = tmp_path / "m.json"
+    write_model_json(model_path, model)
+    cfg = write_json(tmp_path / "export.json", {
+        "schema_version": 1, "family": "rfttps", "n_sequences": 3, "n_slots": 16,
+        "gate_period_s": T_G, "model": str(model_path), "trajectories": 2, "seed": 5,
+    })
+    assert main(["export-circuits", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    root = SeedLineage(5)
+    for seq in make_rfttps(3, 16, T_G):
+        for r in range(2):
+            text = (tmp_path / f"circuit_seq{seq.label:03d}_traj{r:03d}.qasm").read_text()
+            expected = generate_trajectory(model, 16, root.child(seq.label, r, STREAM_INJECTED))
+            assert _bits(parse_circuit(text).slot_phases) == _bits(expected.phases)
+
+
+def test_cli_export_misaligned_model_exit_code(tmp_path):
+    # a 70 ns model cannot be injected on 100 ns gates: simulate and export agree
+    model_path = tmp_path / "m.json"
+    write_model_json(model_path, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=70e-9))
+    common = {"schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+              "gate_period_s": T_G, "model": str(model_path), "trajectories": 2}
+    export = write_json(tmp_path / "export.json", common)
+    simulate = write_json(tmp_path / "sim.json", dict(common, mode="gate", shots_per_trajectory=10))
+    assert main(["simulate", "--config", simulate, "--out-dir", str(tmp_path / "sim")]) == 3
+    assert main(["export-circuits", "--config", export, "--out-dir", str(tmp_path / "qasm")]) == 3
+    assert not list((tmp_path / "qasm").glob("*.qasm"))
+
+
 def test_cli_ingest(tmp_path):
     path = tmp_path / "hw.csv"
     path.write_text(
@@ -521,7 +577,24 @@ def _bad_input_run(tmp_path, case):
     if case == "simulate-malformed-model":
         model.write_text('{"ar": [], "ma": [1.0],\n "drive_std": }')
         return "simulate", simulate, model, True
+    if case == "reconstruct-empty-records":  # header-only records, empty sequence list
+        records.write_text(RECORD_HEADER)
+        seqs.write_text("[]\n")
+        cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
+        return "reconstruct", cfg, records, False
+    if case == "report-empty-records":
+        records.write_text(RECORD_HEADER)
+        return "report", {"schema_version": 1, "records": str(records)}, records, False
     records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    if case == "reconstruct-empty-sequences":
+        seqs.write_text("[]\n")
+        cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
+        return "reconstruct", cfg, seqs, False
+    if case == "report-empty-reconstruction":
+        recon = tmp_path / "spectrum.csv"
+        recon.write_text("freq_hz,psd_rad2_per_hz,ci_lo,ci_hi\n")
+        cfg = {"schema_version": 1, "records": str(records), "reconstruction": str(recon)}
+        return "report", cfg, recon, False
     fit_report = tmp_path / "fit_report.json"
     cfg = {"schema_version": 1, "records": str(records), "fit_report": str(fit_report)}
     return "report", cfg, fit_report, False
@@ -530,7 +603,8 @@ def _bad_input_run(tmp_path, case):
 @pytest.mark.parametrize(
     "case",
     ["reconstruct-nan-stderr", "simulate-missing-model", "simulate-malformed-model",
-     "report-missing-fit-report"],
+     "report-missing-fit-report", "reconstruct-empty-records", "reconstruct-empty-sequences",
+     "report-empty-records", "report-empty-reconstruction"],
 )
 def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import welch
 
 from dephasekit.noise_models import (
@@ -143,6 +145,39 @@ def test_ar1_psd_endpoints():
 def test_psd_grid_validation():
     with pytest.raises(ValueError):
         psd(white(), 1)
+
+
+def polyval_psd(model, grid_size):
+    # reference: direct evaluation of 2 t_s sigma^2 |B(z)|^2 / |A(z)|^2 at z = e^{-i theta}
+    theta = np.pi * np.arange(grid_size) / (grid_size - 1)
+    z = np.exp(-1j * theta)
+    num = np.polyval(np.asarray(model.ma)[::-1], z)
+    den = np.polyval(np.concatenate([[1.0], -np.asarray(model.ar)])[::-1], z)
+    values = 2.0 * model.sample_period * model.drive_std**2 * np.abs(num) ** 2 / np.abs(den) ** 2
+    return theta / (2.0 * np.pi * model.sample_period), values
+
+
+def stable_ar(coeffs):
+    # sum |a_i| <= 0.9 keeps every AR root inside the unit circle
+    total = sum(abs(a) for a in coeffs)
+    return tuple(0.9 * a / max(total, 1.0) for a in coeffs)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    ar=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=4).map(stable_ar),
+    ma=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=300).filter(any),
+    drive_std=st.floats(min_value=1e-3, max_value=10.0),
+    grid_size=st.integers(min_value=2, max_value=600),
+)
+@example(ar=(), ma=tuple(np.linspace(-1, 1, 257)), drive_std=1.0, grid_size=65)  # 257 taps folded
+@example(ar=(0.5, -0.3), ma=(1.0, 0.4, 0.2), drive_std=0.01, grid_size=2)
+def test_psd_equals_polyval(ar, ma, drive_std, grid_size):
+    model = ArmaModel(ar=ar, ma=tuple(ma), drive_std=drive_std, sample_period=T_S)
+    freqs, values = polyval_psd(model, grid_size)
+    spec = psd(model, grid_size)
+    assert np.array_equal(spec.freqs, freqs)
+    np.testing.assert_allclose(spec.values, values, rtol=0, atol=1e-12 * values.max())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephasekit.noise_models import (
     ArmaModel,
@@ -236,3 +238,62 @@ def test_chi_designed_models_domain_equivalence():
             time = chi_time_domain(seq, r)
             freq = filter_function(seq, 4097).chi(spec)
             assert freq == pytest.approx(time, rel=1e-6, abs=1e-18)
+
+
+# ---------------------------------------------------------------------------
+# properties of the shared grid and rFFT evaluator
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+UNIT_FLOATS = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def pulse_sequences(draw, max_slots=300):
+    n_slots = draw(st.integers(min_value=1, max_value=max_slots))
+    slots = sorted(draw(st.sets(st.integers(min_value=1, max_value=n_slots), max_size=40)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(slots), max_size=len(slots)))
+    period = draw(st.floats(min_value=1e-9, max_value=1e-5))
+    return PulseSequence(n_slots, tuple(slots), tuple(signs), period)
+
+
+def dense_filter(seq, grid_size):
+    # reference: Y(theta_m) = sum_j y_j e^{-i theta_m j} as a direct dense sum
+    theta = np.pi * np.arange(grid_size) / (grid_size - 1)
+    phases = np.outer(theta, np.arange(1, seq.n_slots + 1))
+    response = np.exp(-1j * phases) @ brute_force_switching(seq)
+    df = 1.0 / (2.0 * seq.gate_period * (grid_size - 1))
+    trapz = np.full(grid_size, df)
+    trapz[[0, -1]] *= 0.5
+    return theta / (2.0 * np.pi * seq.gate_period), np.abs(response) ** 2 / 2.0 * trapz
+
+
+@PROPERTY
+@given(seq=pulse_sequences(), grid_size=st.integers(min_value=2, max_value=1100))
+@example(seq=make_fttps(K, N, T_G)[1], grid_size=17)  # 128 slots folded onto 32 points
+@example(seq=make_rfttps(K, N, 70e-9)[45], grid_size=4097)
+@example(seq=PulseSequence(257, (3, 100, 250), (1, 1, 1), T_G), grid_size=2)
+def test_filter_weights_equal_dense_sum(seq, grid_size):
+    freqs, weights = dense_filter(seq, grid_size)
+    ff = filter_function(seq, grid_size)
+    assert np.array_equal(ff.freqs, freqs)
+    scale = seq.n_slots**2 / 2.0 / (2.0 * seq.gate_period * (grid_size - 1))  # largest weight
+    np.testing.assert_allclose(ff.weights, weights, rtol=0, atol=1e-12 * scale)
+
+
+@PROPERTY
+@given(
+    ma=st.lists(UNIT_FLOATS, min_size=1, max_size=60).filter(any),
+    seq=pulse_sequences(max_slots=200),
+    extra_points=st.integers(min_value=0, max_value=200),
+)
+@example(ma=[0.3, -0.2, 0.1], seq=make_rfttps(K, N, T_G)[7], extra_points=0)
+def test_chi_time_domain_equals_filter_times_psd(ma, seq, extra_points):
+    # the trapezoidal rule is exact once 2 (grid_size-1) exceeds the highest
+    # harmonic q + N - 1 of S |Y|^2
+    model = ArmaModel(ar=(), ma=tuple(ma), drive_std=1.0, sample_period=seq.gate_period)
+    grid_size = (len(ma) + seq.n_slots) // 2 + 2 + extra_points
+    r = autocovariance(model, seq.n_slots - 1)
+    time = chi_time_domain(seq, r)
+    freq = filter_function(seq, grid_size).chi(psd(model, grid_size))
+    assert freq == pytest.approx(time, rel=1e-9, abs=1e-12 * r[0] * seq.n_slots**2)
