@@ -276,6 +276,13 @@ def cmd_fit(config: dict, args) -> None:
         n_starts=_get(config, "n_starts", int, 8),
         seed=_seed(config, args),
     )
+    names = predictor._PARAM_NAMES[result.params.kind]
+    values = result.params.to_vector()
+    # a parameter the records cannot pin down: its stderr is non-finite or exceeds its size
+    unresolved = [
+        name for name, value, err in zip(names, values, result.param_stderr)
+        if not np.isfinite(err) or err > abs(value)
+    ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "model_kind": result.params.kind,
@@ -288,6 +295,7 @@ def cmd_fit(config: dict, args) -> None:
         },
         "param_stderr": list(result.param_stderr),
         "bounds_active": list(result.bounds_active),
+        "unresolved": unresolved,
         "loss": result.loss,
         "converged": result.converged,
         "message": result.message,

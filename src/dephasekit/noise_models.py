@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .seeds import SeedLineage, as_lineage
 
@@ -91,6 +90,8 @@ class ArmaModel:
         return np.concatenate([[1.0], -np.asarray(self.ar, dtype=float)])
 
     def impulse_response(self, length: int) -> np.ndarray:
+        from scipy.signal import lfilter  # lazy: ~0.75 s to import, only AR paths need it
+
         impulse = np.zeros(length)
         impulse[0] = 1.0
         return lfilter(np.asarray(self.ma, dtype=float), self.ar_poly(), impulse)
@@ -183,7 +184,19 @@ def _synthesize_phases(model: ArmaModel, normals: np.ndarray) -> np.ndarray:
 
     Each row of ``normals`` is one trajectory: ``model.burn_in`` warm-up columns, then the
     wanted steps.  Every synthesis path calls this, so all share one warm-up and filter.
+
+    A pure-MA output t depends only on inputs t-q..t, and ``burn_in >= q``, so only the
+    last q + steps columns are scaled and filtered, as a "valid" ``np.convolve`` per row.
+    That is the kernel ``lfilter``'s FIR path runs, so every kept output is bit-identical
+    to filtering the whole row.  AR models run ``lfilter`` over the whole row.
     """
+    p, q = model.order
+    if p == 0:
+        kept = normals[..., model.burn_in - q:]
+        kept *= model.drive_std
+        return np.apply_along_axis(np.convolve, -1, kept, np.asarray(model.ma), "valid")
+    from scipy.signal import lfilter
+
     normals *= model.drive_std
     return lfilter(np.asarray(model.ma), model.ar_poly(), normals)[..., model.burn_in:]
 

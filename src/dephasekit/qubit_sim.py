@@ -316,9 +316,10 @@ def _run_gate_sequence(
             native_model, n_traj, seq.n_slots, root, k, STREAM_NATIVE
         )
     jitter = np.zeros((n_traj, seq.n_pulses))
-    for r in range(n_traj):
-        rng = root.child(k, r, STREAM_PULSE_JITTER).generator()
-        jitter[r] = perr.jitter_std * rng.standard_normal(seq.n_pulses)
+    if perr.jitter_std > 0:
+        for r in range(n_traj):
+            rng = root.child(k, r, STREAM_PULSE_JITTER).generator()
+            jitter[r] = perr.jitter_std * rng.standard_normal(seq.n_pulses)
     p_traj = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     fractions = np.empty(n_traj)
     for r in range(n_traj):
@@ -368,8 +369,11 @@ def _run_sdr_sequence(
         rng_nat = root.child(k, 0, STREAM_NATIVE).generator()
         normals = rng_nat.standard_normal((n_shots, native_model.burn_in + seq.n_slots))
         phases += _synthesize_phases(native_model, normals)
-    rng_jit = root.child(k, 0, STREAM_PULSE_JITTER).generator()
-    jitter = perr.jitter_std * rng_jit.standard_normal((n_shots, seq.n_pulses))
+    if perr.jitter_std > 0:
+        rng_jit = root.child(k, 0, STREAM_PULSE_JITTER).generator()
+        jitter = perr.jitter_std * rng_jit.standard_normal((n_shots, seq.n_pulses))
+    else:
+        jitter = np.zeros((n_shots, seq.n_pulses))
     p_shot = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     outcomes = (rng_meas.random(n_shots) < p_shot).astype(float)
     mean, stderr = _survival_stats(outcomes, 1)

@@ -1,6 +1,10 @@
 """CLI and serialization tests: full pipelines on disk, schema errors, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +408,51 @@ def test_cli_fit_residuals_parse(pipeline):
         float(residual)
 
 
+def test_cli_fit_flags_unresolved_parameters(pipeline):
+    # the records carry only injected noise, so once the injected spectrum is accounted
+    # for, the native Lorentzian's cutoff has nothing to be fitted to
+    tmp, out, _ = pipeline
+    fit_cfg = write_json(
+        tmp / "fit.json",
+        {
+            "schema_version": 1,
+            "records": str(out / "records.csv"),
+            "sequences": str(out / "sequences.json"),
+            "injected_spectrum": str(out / "injected_psd.csv"),
+            "grid_size": 1025,
+            "model_kind": "lorentzian_plus_white",
+            "n_starts": 2,
+        },
+    )
+    assert main(["fit", "--config", fit_cfg, "--out-dir", str(out)]) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["converged"] is True
+    assert "cutoff_sq" in report["unresolved"]
+    report_cfg = write_json(
+        tmp / "report.json",
+        {"schema_version": 1, "records": str(out / "records.csv"),
+         "fit_report": str(out / "fit_report.json")},
+    )
+    assert main(["report", "--config", report_cfg, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["fit"] == report
+    # white records: the white-only fit resolves its floor
+    white = tmp / "white"
+    white.mkdir()
+    write_model_json(
+        white / "model.json", ArmaModel(ar=(), ma=(0.05,), drive_std=1.0, sample_period=T_G)
+    )
+    sim = dict(json.loads((tmp / "sim.json").read_text()), model=str(white / "model.json"))
+    assert main(["simulate", "--config", write_json(white / "sim.json", sim),
+                 "--out-dir", str(white)]) == 0
+    white_cfg = write_json(
+        white / "fit.json",
+        {"schema_version": 1, "records": str(white / "records.csv"),
+         "sequences": str(white / "sequences.json"), "model_kind": "white_only", "n_starts": 2},
+    )
+    assert main(["fit", "--config", white_cfg, "--out-dir", str(white)]) == 0
+    assert "white_floor" not in json.loads((white / "fit_report.json").read_text())["unresolved"]
+
+
 def test_cli_export_circuits(tmp_path):
     cfg = write_json(
         tmp_path / "export.json",
@@ -767,3 +816,11 @@ def test_cli_seed_flag_overrides(tmp_path):
     ra = read_records_csv(a / "records.csv")
     rb = read_records_csv(b / "records.csv")
     assert ra[0].seed == 1 and rb[0].seed == 2
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal costs ~0.75 s per process and only AR synthesis needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import dephasekit.cli, sys; assert 'scipy.signal' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import welch
+from scipy.signal import lfilter, welch
 
 from dephasekit.noise_models import (
     ArmaModel,
     UnstableModelError,
+    _synthesize_phases,
     autocovariance,
     design_bandpass,
     design_lorentzian,
@@ -110,6 +111,40 @@ def test_trajectory_determinism():
 def test_trajectory_length_validation():
     with pytest.raises(ValueError):
         generate_trajectory(white(), 0, seed=0)
+
+
+def lfilter_synthesis(model, normals):
+    # reference: scale, filter every column including the warm-up, drop the warm-up
+    scaled = normals * model.drive_std
+    return lfilter(np.asarray(model.ma), model.ar_poly(), scaled)[..., model.burn_in:]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    ma=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=300).filter(any),
+    length=st.integers(min_value=1, max_value=200),
+    rows=st.sampled_from([None, 1, 3]),
+    drive_std=st.floats(min_value=1e-3, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(ma=tuple(np.linspace(-1, 1, 257)), length=128, rows=3, drive_std=1.0, seed=0)
+@example(ma=(0.5,), length=1, rows=None, drive_std=2.0, seed=1)
+def test_ma_synthesis_equals_full_lfilter(ma, length, rows, drive_std, seed):
+    # MA synthesis filters only the kept samples; each must equal lfilter over the whole row
+    model = ArmaModel(ar=(), ma=tuple(ma), drive_std=drive_std, sample_period=T_S)
+    shape = (model.burn_in + length,) if rows is None else (rows, model.burn_in + length)
+    normals = np.random.default_rng(seed).standard_normal(shape)
+    expected = lfilter_synthesis(model, normals)
+    assert np.array_equal(_synthesize_phases(model, normals.copy()), expected)
+
+
+@pytest.mark.parametrize("rows", [None, 4])
+def test_ar_synthesis_is_full_lfilter(rows):
+    model = ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.5, sample_period=T_S)
+    shape = (model.burn_in + 64,) if rows is None else (rows, model.burn_in + 64)
+    normals = np.random.default_rng(5).standard_normal(shape)
+    got = _synthesize_phases(model, normals.copy())
+    assert np.array_equal(got, lfilter_synthesis(model, normals))
 
 
 # ---------------------------------------------------------------------------

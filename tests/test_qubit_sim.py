@@ -1,5 +1,7 @@
 """Simulator tests: unitary-propagation oracles, mode equivalence, seeding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dephasekit.noise_models import (
     ArmaModel,
     Trajectory,
     design_bandpass,
+    design_lorentzian,
     design_power_law,
     generate_trajectory,
 )
@@ -21,6 +24,7 @@ from dephasekit.qubit_sim import (
 )
 from dephasekit.seeds import STREAM_INJECTED, STREAM_MEASUREMENT, SeedLineage
 from dephasekit.sequences import make_fttps, make_rfttps, switching_function
+from dephasekit.serialize import records_to_csv_text
 
 T_G = 100e-9
 N = 128
@@ -191,6 +195,67 @@ def test_gate_mode_stream_contract(model):
             p = run_shot(seq, generate_trajectory(model, seq.n_slots, lineage))
             rng = root.child(seq.label, r, STREAM_MEASUREMENT).generator()
             assert rec.trajectory_survivals[r] == rng.binomial(50, p) / 50
+
+
+def _golden_run(case):
+    if case == "gate-power-law-257-taps":
+        model = design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G)
+        mode = GateMode(trajectories=20, shots_per_trajectory=50)
+        return run_experiment(make_fttps(8, N, T_G), model, mode=mode, seed=21)
+    if case == "gate-ar2-jitter":
+        model = ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G)
+        return run_experiment(
+            make_fttps(8, N, T_G), model,
+            pulse_errors=PulseErrorModel(over_rotation=0.01, jitter_std=0.02),
+            mode=GateMode(trajectories=20, shots_per_trajectory=50), seed=21,
+        )
+    return run_experiment(
+        make_rfttps(6, N, T_G),
+        design_bandpass(2.0e6, 0.5e6, 1e-3, 70e-9, taps=101),
+        native_model=design_lorentzian(2e-9, 2 * np.pi * 0.4e6, 1e-10, T_G, taps=101),
+        pulse_errors=PulseErrorModel(over_rotation=0.02, jitter_std=0.02),
+        mode=SdrMode(shots=200, phase_update_period=70e-9),
+        seed=23,
+    )
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("gate-power-law-257-taps",
+         "2a48c37d3e555ec4824c1966c5b37d19e286af82ac1bf27d10cc34bab5ab4288"),
+        ("gate-ar2-jitter", "58c3c079be663798c9a8ebf1522087afa04d02c3f4792a811118af077cfe6d00"),
+        ("sdr-native-jitter", "6890a2bf124387b3a80c3033f647b7de575aafc970f1654d3c4e100e842d33ef"),
+    ],
+)
+def test_records_golden_digest(case, digest):
+    # pins every random stream and the synthesis arithmetic: a change to either must
+    # update these digests and declare itself as a stream-version bump
+    text = records_to_csv_text(_golden_run(case))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        GateMode(trajectories=10, shots_per_trajectory=40),
+        SdrMode(shots=60, phase_update_period=70e-9),
+    ],
+    ids=["gate", "sdr"],
+)
+def test_record_independent_of_other_sequences_and_order(mode):
+    # an SDR model is sampled at the update period, a gate model at the gate period
+    period = getattr(mode, "phase_update_period", T_G)
+    model = design_bandpass(2.0e6, 0.5e6, 1e-3, period, taps=101)
+    native = ArmaModel(ar=(0.5,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+    perr = PulseErrorModel(over_rotation=0.01, jitter_std=0.02)
+    seqs = make_fttps(12, N, T_G)
+    kwargs = dict(native_model=native, pulse_errors=perr, mode=mode, seed=31, keep_raw=True)
+    full = {r.label: r for r in run_experiment(seqs, model, **kwargs)}
+    subset = [seqs[i] for i in np.random.default_rng(2).permutation(len(seqs))[:5]]
+    for rec in run_experiment(subset, model, **kwargs):
+        assert rec == full[rec.label]
+        assert np.array_equal(rec.trajectory_survivals, full[rec.label].trajectory_survivals)
 
 
 def test_gate_mode_survival_clipped_to_unit_interval():
