@@ -72,9 +72,10 @@ def _out_dir(args) -> Path:
 
 
 def _seed(config: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return _get(config, "seed", int, 0)
+    seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
+    return seed
 
 
 # -- design -------------------------------------------------------------------

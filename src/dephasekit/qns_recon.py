@@ -304,8 +304,7 @@ def bootstrap_spectrum(
     ridge = recon_kwargs.get("ridge", 0.0)
     by_label = _filters_by_label(records, filters)
     values = np.zeros((resamples, point.values.size))
-    for b in range(resamples):
-        rng = root.child(b).generator()
+    for b, rng in root.row_generators(resamples):
         resampled = []
         for rec in records:
             raw = rec.trajectory_survivals

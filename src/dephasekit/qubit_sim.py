@@ -218,9 +218,8 @@ def _gate_phase_block(
     if model is None or model.drive_std == 0.0:
         return np.zeros((n_traj, n_slots))
     normals = np.empty((n_traj, model.burn_in + n_slots))
-    for r in range(n_traj):
-        rng = root.child(label, r, stream).generator()
-        normals[r] = rng.standard_normal(normals.shape[1])
+    for r, rng in root.child(label).row_generators(n_traj, stream):
+        rng.standard_normal(out=normals[r])
     return _synthesize_phases(model, normals)
 
 
@@ -317,13 +316,11 @@ def _run_gate_sequence(
         )
     jitter = np.zeros((n_traj, seq.n_pulses))
     if perr.jitter_std > 0:
-        for r in range(n_traj):
-            rng = root.child(k, r, STREAM_PULSE_JITTER).generator()
+        for r, rng in root.child(k).row_generators(n_traj, STREAM_PULSE_JITTER):
             jitter[r] = perr.jitter_std * rng.standard_normal(seq.n_pulses)
     p_traj = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     fractions = np.empty(n_traj)
-    for r in range(n_traj):
-        rng = root.child(k, r, STREAM_MEASUREMENT).generator()
+    for r, rng in root.child(k).row_generators(n_traj, STREAM_MEASUREMENT):
         fractions[r] = rng.binomial(mode.shots_per_trajectory, p_traj[r]) / mode.shots_per_trajectory
     mean, stderr = _survival_stats(fractions, mode.shots_per_trajectory)
     return ExperimentRecord(

@@ -664,6 +664,30 @@ def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     assert ("line " in err) == has_line
 
 
+@pytest.mark.parametrize(
+    "command, flag_seed, config_seed",
+    [("simulate", "-1", None), ("export-circuits", "-1", None), ("simulate", None, -3)],
+    ids=["simulate-flag", "export-circuits-flag", "simulate-config"],
+)
+def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, config_seed):
+    # numpy's SeedSequence rejects a negative seed; the CLI must say so as a config error
+    model = tmp_path / "model.json"
+    write_model_json(model, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G))
+    cfg = {
+        "schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+        "gate_period_s": T_G, "model": str(model), "mode": "gate",
+        "trajectories": 2, "shots_per_trajectory": 10,
+    }
+    if config_seed is not None:
+        cfg["seed"] = config_seed
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    if flag_seed is not None:
+        argv += ["--seed", flag_seed]
+    assert main(argv) == 2
+    assert "seed: expected a non-negative integer" in capsys.readouterr().err
+
+
 def test_cli_full_pipeline_byte_reproducible(pipeline, tmp_path):
     # design -> simulate -> reconstruct -> fit twice with one master seed
     tmp, out, sim_cfg = pipeline

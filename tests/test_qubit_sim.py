@@ -258,6 +258,26 @@ def test_record_independent_of_other_sequences_and_order(mode):
         assert np.array_equal(rec.trajectory_survivals, full[rec.label].trajectory_survivals)
 
 
+def test_gate_run_builds_no_per_trajectory_generator(monkeypatch):
+    # injected, native, jitter and measurement streams all come from
+    # SeedLineage.row_generators, not one numpy construction per trajectory
+    built = []
+    generator = SeedLineage.generator
+
+    def counted(self):
+        built.append(self.path)
+        return generator(self)
+
+    monkeypatch.setattr(SeedLineage, "generator", counted)
+    native = ArmaModel(ar=(0.5,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+    run_experiment(
+        make_fttps(4, N, T_G), design_bandpass(2.0e6, 0.5e6, 1e-3, T_G, taps=101),
+        native_model=native, pulse_errors=PulseErrorModel(over_rotation=0.01, jitter_std=0.02),
+        mode=GateMode(trajectories=10, shots_per_trajectory=40), seed=31,
+    )
+    assert built == []
+
+
 def test_gate_mode_survival_clipped_to_unit_interval():
     # this sequence's propagated survival overshoots 1 by about 1e-15 on one
     # trajectory; unclipped, Generator.binomial rejects it
