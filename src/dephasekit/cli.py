@@ -12,6 +12,7 @@ Configs are JSON documents carrying ``schema_version: 1``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -195,6 +196,20 @@ def _filters_for(seqs, grid_size):
     return [sequences.filter_function(s, grid_size) for s in seqs]
 
 
+def _bootstrap_quantiles(config: dict) -> "tuple[float, float]":
+    quantiles = _get(config, "bootstrap_quantiles", list, [0.025, 0.975])
+    finite = len(quantiles) == 2 and all(
+        isinstance(q, (int, float)) and not isinstance(q, bool) and math.isfinite(q)
+        for q in quantiles
+    )
+    if not finite or not 0.0 <= quantiles[0] < quantiles[1] <= 1.0:
+        raise ConfigError(
+            f"key 'bootstrap_quantiles': expected two numbers 0 <= lo < hi <= 1, "
+            f"got {quantiles!r}"
+        )
+    return float(quantiles[0]), float(quantiles[1])
+
+
 def cmd_reconstruct(config: dict, args) -> None:
     out = _out_dir(args)
     records = serialize.read_records_csv(_get(config, "records", str), impute_stderr=True)
@@ -204,10 +219,11 @@ def cmd_reconstruct(config: dict, args) -> None:
     floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
     ridge = _get(config, "ridge", float, 0.0)
     bins = _get(config, "bins", int, None)
+    resamples = _get(config, "bootstrap_resamples", int, 0)
+    quantiles = _bootstrap_quantiles(config) if resamples > 0 else None
     estimate = qns_recon.reconstruct_spectrum(
         records, filters, bins=bins, ridge=ridge, saturation_floor=floor
     )
-    resamples = _get(config, "bootstrap_resamples", int, 0)
     band = None
     if resamples > 0:
         raw_path = _get(config, "raw_survivals", str, None)
@@ -217,12 +233,11 @@ def cmd_reconstruct(config: dict, args) -> None:
                 "written by simulate with keep_raw=true"
             )
         records = serialize.read_raw_survivals_csv(raw_path, records)
-        quantiles = _get(config, "bootstrap_quantiles", list, [0.025, 0.975])
         band = qns_recon.bootstrap_spectrum(
             records,
             filters,
             resamples=resamples,
-            quantiles=(float(quantiles[0]), float(quantiles[1])),
+            quantiles=quantiles,
             seed=_seed(config, args),
             ridge=ridge,
             saturation_floor=floor,
@@ -268,13 +283,16 @@ def cmd_fit(config: dict, args) -> None:
     if injected_path:
         injected = serialize.read_spectrum_csv(injected_path, seqs[0].gate_period)
     kind = _get(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE)
+    n_starts = _get(config, "n_starts", int, 8)
+    if n_starts < 1:
+        raise ConfigError(f"key 'n_starts': expected an integer >= 1, got {n_starts}")
     result = predictor.fit(
         records,
         filters,
         injected=injected,
         kind=kind,
         mask=_get(config, "mask", list, []),
-        n_starts=_get(config, "n_starts", int, 8),
+        n_starts=n_starts,
         seed=_seed(config, args),
     )
     names = predictor._PARAM_NAMES[result.params.kind]

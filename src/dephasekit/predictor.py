@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .noise_models import Spectrum
 from .qubit_sim import ExperimentRecord
@@ -36,6 +35,13 @@ _PARAM_NAMES = {
 
 class FitConvergenceWarning(UserWarning):
     pass
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``; lazy: ~0.5 s to import, only ``fit`` needs it."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -241,24 +247,27 @@ def fit(
     x0 = init.to_vector() if init is not None else _default_init(matrix, kind)
     x0 = np.clip(x0, 1e-15, None)
     starts = _spread_starts(x0, n_starts, seed)
+    # parameter magnitudes span many decades (PSD levels vs squared angular
+    # cutoffs), so scale each variable by its start value
+    scales = [np.maximum(np.abs(start), 1e-12) for start in starts]
     if kind == LORENTZIAN_PLUS_WHITE:
         # warm start at the nested white-only solution so the richer model
-        # can never end up with a larger loss
+        # can never end up with a larger loss; its near-zero entries would
+        # shrink the trust region, so it is scaled by the data-derived start
         white = fit(records, filters, injected, kind=WHITE_ONLY, mask=mask,
                     n_starts=max(n_starts // 2, 1), seed=seed, max_nfev=max_nfev)
         wvec = white.params.to_vector()
         starts.append(np.array([1e-15, x0[1], wvec[0], wvec[1], wvec[2]]))
+        scales.append(np.maximum(np.abs(x0), 1e-12))
     best = None
-    for start in starts:
-        # parameter magnitudes span many decades (PSD levels vs squared
-        # angular cutoffs), so scale each variable by its start value
+    for start, x_scale in zip(starts, scales):
         sol = least_squares(
             matrix.residuals,
             start,
             jac=matrix.jacobian,
             bounds=(0.0, np.inf),
             method="trf",
-            x_scale=np.maximum(np.abs(start), 1e-12),
+            x_scale=x_scale,
             ftol=1e-14,
             xtol=1e-14,
             gtol=1e-14,

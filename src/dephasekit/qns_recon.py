@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .qubit_sim import ExperimentRecord, _survival_stats
 from .seeds import as_lineage
@@ -22,6 +21,13 @@ from .sequences import FilterFunction, _filters_by_label
 
 DEFAULT_SATURATION_FLOOR = 0.02
 _MIN_CHI_VARIANCE = 1e-24
+
+
+def nnls(a: np.ndarray, b: np.ndarray):
+    """``scipy.optimize.nnls``; lazy: ~0.5 s to import, only the inversion needs it."""
+    from scipy.optimize import nnls as solve
+
+    return solve(a, b)
 
 
 class RankDeficientError(ValueError):
@@ -94,10 +100,10 @@ class SpectrumEstimate:
         return min(max(idx, 0), self.values.size - 1)
 
 
-def _usable_records(
-    records: Sequence[ExperimentRecord], floor: float
-) -> "list[ExperimentRecord]":
-    return [r for r in records if not decay_from_survival(r.survival_mean, floor).saturated]
+def _usable_indices(records: Sequence[ExperimentRecord], floor: float) -> "list[int]":
+    """Positions of the records that are not saturated."""
+    return [i for i, r in enumerate(records)
+            if not decay_from_survival(r.survival_mean, floor).saturated]
 
 
 def _bin_edges_from_filters(
@@ -166,14 +172,15 @@ def reconstruct_spectrum(
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     by_label = _filters_by_label(records, filters)
-    usable = _usable_records(records, saturation_floor)
+    usable = [records[i] for i in _usable_indices(records, saturation_floor)]
     if not usable:
         raise ValueError("all records are saturated; nothing to invert")
     if bins_like is not None:
         centers, edges = bins_like.freqs, bins_like.bin_edges
     else:
         centers, edges = _bin_edges_from_filters(usable, by_label, bins)
-    a, solution = _weighted_inversion(usable, by_label, edges, saturation_floor, ridge, check_rank)
+    design = _binned_filter_matrix(usable, by_label, edges)
+    a, solution = _weighted_inversion(usable, design, saturation_floor, ridge, check_rank)
     stderr = _active_set_stderr(a, solution)
     return SpectrumEstimate(
         freqs=centers,
@@ -186,19 +193,18 @@ def reconstruct_spectrum(
 
 def _weighted_inversion(
     usable: Sequence[ExperimentRecord],
-    by_label: "dict[int, FilterFunction]",
-    edges: np.ndarray,
+    design: np.ndarray,
     floor: float,
     ridge: float,
     check_rank: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-stderr weighted NNLS plus ridge on fixed bins: (augmented matrix, solution)."""
-    design = _binned_filter_matrix(usable, by_label, edges)
+    """Inverse-stderr weighted NNLS plus ridge on the binned ``design`` (one row per
+    usable record): (augmented matrix, solution)."""
     chi = np.array([decay_from_survival(r.survival_mean, floor).chi for r in usable])
     weights = np.array([1.0 / np.sqrt(chi_variance(r)) for r in usable])
     a = design * weights[:, None]
     b = chi * weights
-    n_bins = edges.size - 1
+    n_bins = design.shape[1]
     if check_rank:
         col_norms = np.abs(a).sum(axis=0)
         dead = [int(m) for m in np.nonzero(col_norms <= 1e-15 * max(col_norms.max(), 1.0))[0]]
@@ -292,7 +298,9 @@ def bootstrap_spectrum(
 
     Per resample, each sequence's retained per-trajectory survivals are
     resampled with replacement, records are rebuilt, and the reconstruction
-    re-run on the bin grid of the point estimate.
+    re-run on the bin grid of the point estimate.  The binned filter matrix is
+    built once for all records; a resample keeps the rows of its unsaturated
+    records.
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
@@ -302,7 +310,7 @@ def bootstrap_spectrum(
     root = as_lineage(seed)
     floor = recon_kwargs.get("saturation_floor", DEFAULT_SATURATION_FLOOR)
     ridge = recon_kwargs.get("ridge", 0.0)
-    by_label = _filters_by_label(records, filters)
+    design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
     values = np.zeros((resamples, point.values.size))
     for b, rng in root.row_generators(resamples):
         resampled = []
@@ -321,10 +329,10 @@ def bootstrap_spectrum(
                     seed=rec.seed,
                 )
             )
-        usable = _usable_records(resampled, floor)
-        if usable:  # an all-saturated resample contributes zeros
+        keep = _usable_indices(resampled, floor)
+        if keep:  # an all-saturated resample contributes zeros
             _, values[b] = _weighted_inversion(
-                usable, by_label, point.bin_edges, floor, ridge, check_rank=False
+                [resampled[i] for i in keep], design[keep], floor, ridge, check_rank=False
             )
     lo_q, hi_q = quantiles
     return BootstrapSpectrum(

@@ -688,6 +688,37 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, confi
     assert "seed: expected a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("reconstruct", "bootstrap_quantiles", [0.5]),
+        ("reconstruct", "bootstrap_quantiles", ["a", 0.9]),
+        ("reconstruct", "bootstrap_quantiles", [0.1, 1.5]),
+        ("reconstruct", "bootstrap_quantiles", [0.9, 0.1]),
+        ("reconstruct", "bootstrap_quantiles", [0.5, 0.5]),
+        ("fit", "n_starts", 0),
+    ],
+    ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "zero-starts"],
+)
+def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
+    seqs = make_fttps(8, 32, T_G)
+    records = run_experiment(
+        seqs, design_bandpass(1.0e6, 0.3e6, 1e-3, T_G, taps=101),
+        mode=GateMode(trajectories=10, shots_per_trajectory=50), seed=3, keep_raw=True,
+    )
+    write_records_csv(tmp_path / "records.csv", records)
+    write_raw_survivals_csv(tmp_path / "raw.csv", records)
+    write_sequences_json(tmp_path / "seqs.json", seqs)
+    cfg = {"schema_version": 1, "records": str(tmp_path / "records.csv"),
+           "sequences": str(tmp_path / "seqs.json"), key: value}
+    if command == "reconstruct":
+        cfg.update(bootstrap_resamples=5, raw_survivals=str(tmp_path / "raw.csv"))
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
 def test_cli_full_pipeline_byte_reproducible(pipeline, tmp_path):
     # design -> simulate -> reconstruct -> fit twice with one master seed
     tmp, out, sim_cfg = pipeline
@@ -846,5 +877,17 @@ def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal costs ~0.75 s per process and only AR synthesis needs it
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import dephasekit.cli, sys; assert 'scipy.signal' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy.optimize costs ~0.5 s per process; only fit and reconstruct call its solvers
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, dephasekit, dephasekit.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

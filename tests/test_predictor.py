@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dephasekit.noise_models import design_bandpass, design_lorentzian, psd
+from dephasekit import predictor
 from dephasekit.predictor import (
     LORENTZIAN_PLUS_WHITE,
     WHITE_ONLY,
@@ -286,3 +287,25 @@ def test_fit_deterministic(seqs, filters, injected):
     b = fit(records, filters, injected, seed=2)
     assert np.array_equal(a.params.to_vector(), b.params.to_vector())
     assert a.loss == b.loss
+
+
+def test_warm_start_converges_within_budget(seqs, filters, monkeypatch):
+    # the README pipeline's records at seed 1: scaled by its own near-zero entries, the
+    # white-only warm start used to spend all max_nfev evaluations without converging
+    model = design_bandpass(1.0e6, 0.2e6, 1e-3, T_G)
+    records = run_experiment(
+        seqs, model, mode=GateMode(trajectories=200, shots_per_trajectory=1000), seed=1
+    )
+    nfev = []
+    solve = predictor.least_squares
+
+    def spy(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(predictor, "least_squares", spy)
+    result = fit(records, filters, injected=psd(model), seed=1, max_nfev=2000)
+    assert len(nfev) == 4 + 8 + 1  # white-only starts, Lorentzian starts, warm start
+    assert max(nfev) < 2000
+    assert result.converged

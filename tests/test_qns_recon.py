@@ -6,13 +6,24 @@ import pytest
 from dephasekit.noise_models import ArmaModel, autocovariance, design_bandpass, design_lorentzian
 from dephasekit.predictor import WHITE_ONLY, _ModelMatrix
 from dephasekit.qns_recon import (
+    DEFAULT_SATURATION_FLOOR,
     RankDeficientError,
+    _binned_filter_matrix,
+    _usable_indices,
+    _weighted_inversion,
     bootstrap_spectrum,
     decay_from_survival,
     reconstruct_spectrum,
     subtract_native,
 )
-from dephasekit.qubit_sim import ExperimentRecord, GateMode, analytic_survival, run_experiment
+from dephasekit.qubit_sim import (
+    ExperimentRecord,
+    GateMode,
+    _survival_stats,
+    analytic_survival,
+    run_experiment,
+)
+from dephasekit.seeds import SeedLineage
 from dephasekit.sequences import filter_function, make_fttps
 
 T_G = 100e-9
@@ -330,3 +341,48 @@ def test_bootstrap_deterministic(mc_run, filters):
     b = bootstrap_spectrum(records, filters, resamples=20, seed=9)
     assert np.array_equal(a.lower, b.lower)
     assert np.array_equal(a.upper, b.upper)
+
+
+def test_bootstrap_equals_per_resample_design(seqs, filters):
+    # three records straddle the saturation floor, so resamples drop some of them; the
+    # shared design matrix must give what a per-resample matrix gives, bit for bit
+    rng = np.random.default_rng(17)
+    records = []
+    for seq in seqs[:16]:
+        centre = 0.53 if seq.label in (3, 8, 12) else 0.8
+        raw = np.clip(centre + 0.05 * rng.standard_normal(30), 0.0, 1.0)
+        mean, stderr = _survival_stats(raw, 100)
+        records.append(ExperimentRecord(
+            label=seq.label, n_pulses=seq.n_pulses, survival_mean=mean, survival_stderr=stderr,
+            shots=100, trajectories=raw.size, seed=0, trajectory_survivals=raw,
+        ))
+    filters = filters[:16]
+    resamples, seed = 60, 4
+    result = bootstrap_spectrum(records, filters, resamples=resamples, seed=seed)
+
+    by_label = {f.label: f for f in filters}
+    edges = result.median.bin_edges
+    values = np.zeros((resamples, edges.size - 1))
+    dropped = set()
+    for b in range(resamples):
+        draw_rng = SeedLineage(seed).child(b).generator()
+        resampled = []
+        for rec in records:
+            raw = rec.trajectory_survivals
+            mean, stderr = _survival_stats(raw[draw_rng.integers(0, raw.size, raw.size)],
+                                           rec.shots)
+            resampled.append(ExperimentRecord(
+                label=rec.label, n_pulses=rec.n_pulses, survival_mean=mean,
+                survival_stderr=stderr, shots=rec.shots, trajectories=rec.trajectories,
+                seed=rec.seed,
+            ))
+        usable = [resampled[i] for i in _usable_indices(resampled, DEFAULT_SATURATION_FLOOR)]
+        dropped.add(len(records) - len(usable))
+        design = _binned_filter_matrix(usable, by_label, edges)
+        _, values[b] = _weighted_inversion(
+            usable, design, DEFAULT_SATURATION_FLOOR, 0.0, check_rank=False
+        )
+    assert len(dropped) > 1 and 0 in dropped
+    assert np.array_equal(result.median.values, np.median(values, axis=0))
+    assert np.array_equal(result.lower, np.quantile(values, 0.025, axis=0))
+    assert np.array_equal(result.upper, np.quantile(values, 0.975, axis=0))
