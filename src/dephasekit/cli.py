@@ -196,6 +196,15 @@ def _filters_for(seqs, grid_size):
     return [sequences.filter_function(s, grid_size) for s in seqs]
 
 
+def _records_and_sequences(config: dict):
+    """The records and the sequence documents a config names, checked against each other."""
+    path = _get(config, "records", str)
+    records = serialize.read_records_csv(path, impute_stderr=True)
+    seqs = serialize.read_sequences_json(_get(config, "sequences", str))
+    serialize.check_records_match_sequences(path, records, seqs)
+    return records, seqs
+
+
 def _bootstrap_quantiles(config: dict) -> "tuple[float, float]":
     quantiles = _get(config, "bootstrap_quantiles", list, [0.025, 0.975])
     finite = len(quantiles) == 2 and all(
@@ -212,20 +221,20 @@ def _bootstrap_quantiles(config: dict) -> "tuple[float, float]":
 
 def cmd_reconstruct(config: dict, args) -> None:
     out = _out_dir(args)
-    records = serialize.read_records_csv(_get(config, "records", str), impute_stderr=True)
-    seqs = serialize.read_sequences_json(_get(config, "sequences", str))
+    records, seqs = _records_and_sequences(config)
+    native_path = _get(config, "native_records", str, None)
+    if native_path:
+        native_records = serialize.read_records_csv(native_path, impute_stderr=True)
+        serialize.check_records_match_sequences(native_path, native_records, seqs)
     grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE)
     filters = _filters_for(seqs, grid_size)
     floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
     ridge = _get(config, "ridge", float, 0.0)
     bins = _get(config, "bins", int, None)
     resamples = _get(config, "bootstrap_resamples", int, 0)
-    quantiles = _bootstrap_quantiles(config) if resamples > 0 else None
-    estimate = qns_recon.reconstruct_spectrum(
-        records, filters, bins=bins, ridge=ridge, saturation_floor=floor
-    )
     band = None
     if resamples > 0:
+        quantiles = _bootstrap_quantiles(config)
         raw_path = _get(config, "raw_survivals", str, None)
         if raw_path is None:
             raise ConfigError(
@@ -234,19 +243,16 @@ def cmd_reconstruct(config: dict, args) -> None:
             )
         records = serialize.read_raw_survivals_csv(raw_path, records)
         band = qns_recon.bootstrap_spectrum(
-            records,
-            filters,
-            resamples=resamples,
-            quantiles=quantiles,
-            seed=_seed(config, args),
-            ridge=ridge,
-            saturation_floor=floor,
-            bins=bins,
+            records, filters, resamples=resamples, quantiles=quantiles,
+            seed=_seed(config, args), ridge=ridge, saturation_floor=floor, bins=bins,
+        )
+        estimate = band.point
+    else:
+        estimate = qns_recon.reconstruct_spectrum(
+            records, filters, bins=bins, ridge=ridge, saturation_floor=floor
         )
     delta_path = None
-    native_records_path = _get(config, "native_records", str, None)
-    if native_records_path:
-        native_records = serialize.read_records_csv(native_records_path, impute_stderr=True)
+    if native_path:
         native_estimate = qns_recon.reconstruct_spectrum(
             native_records, filters, ridge=ridge, saturation_floor=floor,
             bins_like=estimate,
@@ -274,14 +280,18 @@ def cmd_reconstruct(config: dict, args) -> None:
 
 def cmd_fit(config: dict, args) -> None:
     out = _out_dir(args)
-    records = serialize.read_records_csv(_get(config, "records", str), impute_stderr=True)
-    seqs = serialize.read_sequences_json(_get(config, "sequences", str))
+    records, seqs = _records_and_sequences(config)
     grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE)
     filters = _filters_for(seqs, grid_size)
     injected_path = _get(config, "injected_spectrum", str, None)
     injected = None
     if injected_path:
         injected = serialize.read_spectrum_csv(injected_path, seqs[0].gate_period)
+        if not np.array_equal(injected.freqs, filters[0].freqs):
+            raise SchemaError(
+                f"{injected_path}: spectrum grid of {injected.freqs.size} points does not "
+                f"match the filters' grid of {filters[0].freqs.size} points (grid_size)"
+            )
     kind = _get(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE)
     n_starts = _get(config, "n_starts", int, 8)
     if n_starts < 1:
@@ -295,13 +305,6 @@ def cmd_fit(config: dict, args) -> None:
         n_starts=n_starts,
         seed=_seed(config, args),
     )
-    names = predictor._PARAM_NAMES[result.params.kind]
-    values = result.params.to_vector()
-    # a parameter the records cannot pin down: its stderr is non-finite or exceeds its size
-    unresolved = [
-        name for name, value, err in zip(names, values, result.param_stderr)
-        if not np.isfinite(err) or err > abs(value)
-    ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "model_kind": result.params.kind,
@@ -314,7 +317,7 @@ def cmd_fit(config: dict, args) -> None:
         },
         "param_stderr": list(result.param_stderr),
         "bounds_active": list(result.bounds_active),
-        "unresolved": unresolved,
+        "unresolved": list(result.unresolved),
         "loss": result.loss,
         "converged": result.converged,
         "message": result.message,
@@ -354,18 +357,12 @@ def cmd_export_circuits(config: dict, args) -> None:
 
 def cmd_ingest(config: dict, args) -> None:
     out = _out_dir(args)
-    records = serialize.read_records_csv(_get(config, "records", str), impute_stderr=True)
+    records_path = _get(config, "records", str)
+    records = serialize.read_records_csv(records_path, impute_stderr=True)
     seq_path = _get(config, "sequences", str, None)
     if seq_path:
-        seqs = {s.label: s for s in serialize.read_sequences_json(seq_path)}
-        for r in records:
-            if r.label not in seqs:
-                raise SchemaError(f"record {r.label}: no matching sequence document")
-            if seqs[r.label].n_pulses != r.n_pulses:
-                raise SchemaError(
-                    f"record {r.label}: n_pulses {r.n_pulses} contradicts sequence "
-                    f"document ({seqs[r.label].n_pulses})"
-                )
+        seqs = serialize.read_sequences_json(seq_path)
+        serialize.check_records_match_sequences(records_path, records, seqs)
     floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
     flags = [int(qns_recon.decay_from_survival(r.survival_mean, floor).saturated) for r in records]
     rows = [serialize.record_row(r) + (flag,) for r, flag in zip(records, flags)]

@@ -109,6 +109,7 @@ class FitResult:
     covariance: np.ndarray
     param_stderr: np.ndarray
     bounds_active: tuple[str, ...]
+    unresolved: tuple[str, ...]  # stderr non-finite or larger than the value
     converged: bool
     message: str
     jacobian_rel_err: float
@@ -290,6 +291,9 @@ def fit(
     params = FitParams.from_vector(best.x, kind, mask_set)
     names = _PARAM_NAMES[kind]
     active = tuple(n for n, v in zip(names, best.x) if v <= 1e-12)
+    # a parameter the records cannot pin down: its stderr is non-finite or exceeds its size
+    unresolved = tuple(n for n, v, err in zip(names, params.to_vector(), stderr)
+                       if not np.isfinite(err) or err > abs(v))
     return FitResult(
         params=params,
         loss=float(np.dot(best.fun, best.fun)),
@@ -298,6 +302,7 @@ def fit(
         covariance=covariance,
         param_stderr=stderr,
         bounds_active=active,
+        unresolved=unresolved,
         converged=converged,
         message=str(best.message),
         jacobian_rel_err=jac_rel_err,

@@ -10,7 +10,7 @@ saturated and excluded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,26 +46,32 @@ class Decay:
     saturated: bool
 
 
-def decay_from_survival(p: float, floor: float = DEFAULT_SATURATION_FLOOR) -> Decay:
-    """chi = -ln(2p - 1) for p > 1/2 + floor, else a saturated marker.
+def _decays(
+    means: np.ndarray, stderrs: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The survival-to-decay rule: (usable mask, chi, weights) per survival mean.
 
-    Saturated markers carry chi_max = -ln(2 * floor), the largest decay the
-    floor can resolve.
+    A mean p > 1/2 + floor is usable, with chi = -ln(2p - 1) and weight the
+    inverse of chi's propagated stderr, 2 * stderr / (2p - 1) (its square
+    floored at 1e-24).  A saturated mean carries chi_max = -ln(2 * floor), the
+    largest decay the floor can resolve, and weight 0.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"survival probability must lie in [0, 1], got {p}")
+    outside = ~((means >= 0.0) & (means <= 1.0))  # also catches nan
+    if outside.any():
+        raise ValueError(f"survival probability must lie in [0, 1], got {means[outside][0]}")
     if not 0.0 < floor < 0.5:
         raise ValueError(f"floor must lie in (0, 0.5), got {floor}")
-    if p > 0.5 + floor:
-        return Decay(chi=float(-np.log(2.0 * p - 1.0)), saturated=False)
-    return Decay(chi=float(-np.log(2.0 * floor)), saturated=True)
+    usable = means > 0.5 + floor
+    contrast = np.where(usable, 2.0 * means - 1.0, 2.0 * floor)
+    variance = np.maximum((2.0 * stderrs / contrast) ** 2, _MIN_CHI_VARIANCE)
+    return usable, -np.log(contrast), np.where(usable, 1.0 / np.sqrt(variance), 0.0)
 
 
-def chi_variance(record: ExperimentRecord) -> float:
-    """Propagated variance of chi: (2 * stderr / (2p - 1))^2."""
-    denom = 2.0 * record.survival_mean - 1.0
-    var = (2.0 * record.survival_stderr / denom) ** 2
-    return float(max(var, _MIN_CHI_VARIANCE))
+def decay_from_survival(p: float, floor: float = DEFAULT_SATURATION_FLOOR) -> Decay:
+    """chi = -ln(2p - 1) for p > 1/2 + floor, else a saturated marker carrying
+    chi_max = -ln(2 * floor)."""
+    usable, chi, _ = _decays(np.array([p], dtype=float), np.zeros(1), floor)
+    return Decay(chi=float(chi[0]), saturated=not usable[0])
 
 
 @dataclass(frozen=True)
@@ -100,27 +106,13 @@ class SpectrumEstimate:
         return min(max(idx, 0), self.values.size - 1)
 
 
-def _usable_indices(records: Sequence[ExperimentRecord], floor: float) -> "list[int]":
-    """Positions of the records that are not saturated."""
-    return [i for i, r in enumerate(records)
-            if not decay_from_survival(r.survival_mean, floor).saturated]
-
-
 def _bin_edges_from_filters(
     usable: Sequence[ExperimentRecord],
     filters: "dict[int, FilterFunction]",
-    bins: "int | np.ndarray | None",
+    bins: Optional[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bin centers and edges: per-sequence peak bins, a uniform grid, or
-    explicit edges (geometric centers, suited to log-log analysis)."""
+    """Bin centers and edges: per-sequence peak bins, or a uniform grid of ``bins``."""
     grid_max = float(next(iter(filters.values())).freqs[-1])
-    if isinstance(bins, (list, tuple, np.ndarray)):
-        edges = np.asarray(bins, dtype=float)
-        if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("explicit bin edges must be ascending with >= 2 entries")
-        lo = np.where(edges[:-1] > 0, edges[:-1], edges[1:] / 4.0)
-        centers = np.sqrt(lo * edges[1:])
-        return centers, edges
     if bins is not None and bins != len(usable):
         if bins < 1:
             raise ValueError("bins must be >= 1")
@@ -172,7 +164,10 @@ def reconstruct_spectrum(
     if ridge < 0:
         raise ValueError("ridge must be >= 0")
     by_label = _filters_by_label(records, filters)
-    usable = [records[i] for i in _usable_indices(records, saturation_floor)]
+    means = np.array([r.survival_mean for r in records], dtype=float)
+    stderrs = np.array([r.survival_stderr for r in records], dtype=float)
+    keep, chi, weights = _decays(means, stderrs, saturation_floor)
+    usable = [r for r, k in zip(records, keep) if k]
     if not usable:
         raise ValueError("all records are saturated; nothing to invert")
     if bins_like is not None:
@@ -180,7 +175,7 @@ def reconstruct_spectrum(
     else:
         centers, edges = _bin_edges_from_filters(usable, by_label, bins)
     design = _binned_filter_matrix(usable, by_label, edges)
-    a, solution = _weighted_inversion(usable, design, saturation_floor, ridge, check_rank)
+    a, solution = _weighted_inversion(design, chi[keep], weights[keep], ridge, check_rank)
     stderr = _active_set_stderr(a, solution)
     return SpectrumEstimate(
         freqs=centers,
@@ -192,16 +187,14 @@ def reconstruct_spectrum(
 
 
 def _weighted_inversion(
-    usable: Sequence[ExperimentRecord],
     design: np.ndarray,
-    floor: float,
+    chi: np.ndarray,
+    weights: np.ndarray,
     ridge: float,
     check_rank: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-stderr weighted NNLS plus ridge on the binned ``design`` (one row per
-    usable record): (augmented matrix, solution)."""
-    chi = np.array([decay_from_survival(r.survival_mean, floor).chi for r in usable])
-    weights = np.array([1.0 / np.sqrt(chi_variance(r)) for r in usable])
+    """Weighted NNLS plus ridge of ``chi`` on the binned ``design`` (rows aligned with
+    ``chi`` and ``weights``): (augmented matrix, solution)."""
     a = design * weights[:, None]
     b = chi * weights
     n_bins = design.shape[1]
@@ -265,20 +258,20 @@ def subtract_native(injected_run: SpectrumEstimate, native_run: SpectrumEstimate
     raw = injected_run.values - native_run.values
     clipped = raw < 0
     clipped_power = float(np.dot(np.where(clipped, -raw, 0.0), injected_run.bin_widths))
-    delta = SpectrumEstimate(
-        freqs=injected_run.freqs,
+    delta = replace(
+        injected_run,
         values=np.where(clipped, 0.0, raw),
-        bin_edges=injected_run.bin_edges,
         stderr=np.sqrt(injected_run.stderr**2 + native_run.stderr**2),
-        labels=injected_run.labels,
     )
     return SubtractionResult(spectrum=delta, clipped_power=clipped_power, clipped_bins=clipped)
 
 
 @dataclass(frozen=True)
 class BootstrapSpectrum:
-    """Per-bin bootstrap median and quantile band of a reconstruction."""
+    """Point estimate of a reconstruction, with its per-bin bootstrap median and
+    quantile band."""
 
+    point: SpectrumEstimate
     median: SpectrumEstimate
     lower: np.ndarray
     upper: np.ndarray
@@ -297,10 +290,10 @@ def bootstrap_spectrum(
     """Trajectory-level bootstrap of the reconstruction.
 
     Per resample, each sequence's retained per-trajectory survivals are
-    resampled with replacement, records are rebuilt, and the reconstruction
-    re-run on the bin grid of the point estimate.  The binned filter matrix is
-    built once for all records; a resample keeps the rows of its unsaturated
-    records.
+    resampled with replacement (one draw per record, in record order), their
+    mean and stderr recomputed, and the inversion re-run on the bin grid of the
+    point estimate.  The binned filter matrix is built once for all records; a
+    resample keeps the rows of its unsaturated records.
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
@@ -311,38 +304,23 @@ def bootstrap_spectrum(
     floor = recon_kwargs.get("saturation_floor", DEFAULT_SATURATION_FLOOR)
     ridge = recon_kwargs.get("ridge", 0.0)
     design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
+    means = np.empty(len(records))
+    stderrs = np.empty(len(records))
     values = np.zeros((resamples, point.values.size))
     for b, rng in root.row_generators(resamples):
-        resampled = []
-        for rec in records:
+        for i, rec in enumerate(records):
             raw = rec.trajectory_survivals
-            draw = raw[rng.integers(0, raw.size, raw.size)]
-            mean, stderr = _survival_stats(draw, rec.shots)
-            resampled.append(
-                ExperimentRecord(
-                    label=rec.label,
-                    n_pulses=rec.n_pulses,
-                    survival_mean=mean,
-                    survival_stderr=stderr,
-                    shots=rec.shots,
-                    trajectories=rec.trajectories,
-                    seed=rec.seed,
-                )
-            )
-        keep = _usable_indices(resampled, floor)
-        if keep:  # an all-saturated resample contributes zeros
+            means[i], stderrs[i] = _survival_stats(raw[rng.integers(0, raw.size, raw.size)],
+                                                   rec.shots)
+        keep, chi, weights = _decays(means, stderrs, floor)
+        if keep.any():  # an all-saturated resample contributes zeros
             _, values[b] = _weighted_inversion(
-                [resampled[i] for i in keep], design[keep], floor, ridge, check_rank=False
+                design[keep], chi[keep], weights[keep], ridge, check_rank=False
             )
     lo_q, hi_q = quantiles
     return BootstrapSpectrum(
-        median=SpectrumEstimate(
-            freqs=point.freqs,
-            values=np.median(values, axis=0),
-            bin_edges=point.bin_edges,
-            stderr=point.stderr,
-            labels=point.labels,
-        ),
+        point=point,
+        median=replace(point, values=np.median(values, axis=0)),
         lower=np.quantile(values, lo_q, axis=0),
         upper=np.quantile(values, hi_q, axis=0),
         resamples=resamples,

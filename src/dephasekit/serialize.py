@@ -273,6 +273,23 @@ def read_raw_survivals_csv(
     return out
 
 
+def check_records_match_sequences(
+    path, records: Sequence[ExperimentRecord], sequences: Sequence[PulseSequence]
+) -> None:
+    """Reject records (read from ``path``) with an unknown or repeated seq_index, or an
+    n_pulses that contradicts the sequence document."""
+    n_pulses = {s.label: s.n_pulses for s in sequences}
+    seen = set()
+    for r in records:
+        expected = n_pulses.get(r.label)
+        if r.label in seen or expected != r.n_pulses:
+            fault = ("duplicate record" if r.label in seen
+                     else "no matching sequence document" if expected is None
+                     else f"n_pulses {r.n_pulses} contradicts the sequence document ({expected})")
+            raise SchemaError(f"{path}: seq_index {r.label}: {fault}")
+        seen.add(r.label)
+
+
 def read_records_csv(path, impute_stderr: bool = False) -> "list[ExperimentRecord]":
     """Read records; with ``impute_stderr`` a missing/blank stderr column is
     replaced by the simulator's floored binomial estimate (``_binomial_stderr``)."""

@@ -621,6 +621,8 @@ def _bad_input_run(tmp_path, case):
     if case == "reconstruct-nan-stderr":
         cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
         return "reconstruct", cfg, records, True
+    if case.startswith(("reconstruct-records-", "reconstruct-native-", "fit-")):
+        return _mismatch_run(tmp_path, case, records, seqs)
     if case == "simulate-missing-model":
         return "simulate", simulate, model, False
     if case == "simulate-malformed-model":
@@ -649,11 +651,53 @@ def _bad_input_run(tmp_path, case):
     return "report", cfg, fit_report, False
 
 
+def _mismatch_run(tmp_path, case, records, seqs):
+    """Records or an injected spectrum that contradict the sequence documents or filters."""
+    command, fault = case.split("-", 1)
+    seq_list = make_fttps(8, 16, T_G)
+    write_sequences_json(seqs, seq_list)
+    good = [(s.label, s.n_pulses) for s in seq_list]
+    bad = list(good)
+    if fault.endswith("unknown-label"):
+        bad[-1] = (99, 7)
+    elif fault.endswith("wrong-n-pulses"):
+        bad[1] = (1, 7)
+    elif fault.endswith("duplicate-row"):
+        bad.append(bad[1])
+
+    def write_records(path, rows):
+        path.write_text(RECORD_HEADER + "".join(
+            f"{k},{n},{0.95 - 0.01 * i},0.01,100,1,7\n" for i, (k, n) in enumerate(rows)
+        ))
+        return path
+
+    cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
+    if fault.startswith("native-"):
+        write_records(records, good)
+        faulty = write_records(tmp_path / "native.csv", bad)
+        cfg["native_records"] = str(faulty)
+    else:
+        faulty = write_records(records, bad)
+    if command == "fit":
+        cfg["model_kind"] = "white_only"
+    if fault == "grid-mismatch":
+        faulty = tmp_path / "injected.csv"
+        model = ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G)
+        write_spectrum_csv(faulty, psd(model, 513))  # the filters use the default 4097 points
+        cfg["injected_spectrum"] = str(faulty)
+    return command, cfg, faulty, False
+
+
 @pytest.mark.parametrize(
     "case",
     ["reconstruct-nan-stderr", "simulate-missing-model", "simulate-malformed-model",
      "report-missing-fit-report", "reconstruct-empty-records", "reconstruct-empty-sequences",
-     "report-empty-records", "report-empty-reconstruction"],
+     "report-empty-records", "report-empty-reconstruction",
+     # records that contradict sequences.json, and a fit spectrum on another grid
+     "reconstruct-records-unknown-label", "reconstruct-records-wrong-n-pulses",
+     "reconstruct-records-duplicate-row", "reconstruct-native-unknown-label",
+     "reconstruct-native-wrong-n-pulses", "fit-unknown-label", "fit-wrong-n-pulses",
+     "fit-duplicate-row", "fit-grid-mismatch"],
 )
 def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)

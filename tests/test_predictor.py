@@ -202,6 +202,21 @@ def test_fit_white_only_kind(seqs, filters):
     assert result.params.c2 == pytest.approx(2e-5, rel=1e-6)
 
 
+def test_fit_flags_unresolved_parameters(seqs, filters, injected):
+    # exact records pin every parameter down; records without native Lorentzian
+    # power leave that Lorentzian's amplitude and cutoff free
+    exact = fit(model_records(TRUE, seqs, filters, injected), filters, injected)
+    assert exact.unresolved == ()
+    white = FitParams(white_floor=6e-10, c1=2e-3, c2=5e-5, kind=WHITE_ONLY)
+    result = fit(model_records(white, seqs, filters, injected), filters, injected)
+    assert {"amplitude", "cutoff_sq"} <= set(result.unresolved)
+    names = predictor._PARAM_NAMES[LORENTZIAN_PLUS_WHITE]
+    assert result.unresolved == tuple(
+        n for n, v, err in zip(names, result.params.to_vector(), result.param_stderr)
+        if not np.isfinite(err) or err > abs(v)
+    )
+
+
 def test_fit_requires_enough_records(seqs, filters, injected):
     records = model_records(TRUE, seqs, filters, injected)[:4]
     with pytest.raises(ValueError, match="unmasked"):

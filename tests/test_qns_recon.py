@@ -1,16 +1,19 @@
 """Reconstruction tests: inversion round trips, subtraction, bootstrap."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 from dephasekit.noise_models import ArmaModel, autocovariance, design_bandpass, design_lorentzian
 from dephasekit.predictor import WHITE_ONLY, _ModelMatrix
 from dephasekit.qns_recon import (
     DEFAULT_SATURATION_FLOOR,
+    Decay,
     RankDeficientError,
     _binned_filter_matrix,
-    _usable_indices,
-    _weighted_inversion,
+    _decays,
     bootstrap_spectrum,
     decay_from_survival,
     reconstruct_spectrum,
@@ -25,6 +28,7 @@ from dephasekit.qubit_sim import (
 )
 from dephasekit.seeds import SeedLineage
 from dephasekit.sequences import filter_function, make_fttps
+from dephasekit.serialize import write_spectrum_estimate_csv
 
 T_G = 100e-9
 N = 128
@@ -89,6 +93,29 @@ def test_decay_validation():
         decay_from_survival(1.2)
     with pytest.raises(ValueError):
         decay_from_survival(0.9, floor=0.7)
+
+
+def test_decay_rule_matches_scalar_reference():
+    # the array rule against per-record scalar arithmetic, bit for bit, at and around
+    # the floor and the ends of [0, 1]
+    rng = np.random.default_rng(3)
+    means = np.concatenate([[0.0, 0.5, 0.52, 0.5201, 1.0], rng.uniform(0.0, 1.0, 500)])
+    stderrs = np.concatenate([np.zeros(5), rng.uniform(0.0, 0.1, 500)])
+    usable, chi, weights = _decays(means, stderrs, DEFAULT_SATURATION_FLOOR)
+    for p, se, u, c, w in zip(means.tolist(), stderrs.tolist(), usable, chi, weights):
+        assert u == (p > 0.52)
+        if u:
+            q = 2.0 * se / (2.0 * p - 1.0)
+            assert c == float(-np.log(2.0 * p - 1.0))
+            assert w == 1.0 / np.sqrt(max(q * q, 1e-24))
+        else:
+            assert c == float(-np.log(0.04)) and w == 0.0
+        assert decay_from_survival(p) == Decay(chi=c, saturated=not u)
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError, match=r"survival probability must lie in \[0, 1\]"):
+            _decays(np.array([0.9, bad]), np.zeros(2), DEFAULT_SATURATION_FLOOR)
+    with pytest.raises(ValueError, match=r"floor must lie in \(0, 0.5\), got 0.7"):
+        _decays(means, stderrs, 0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +403,52 @@ def test_bootstrap_equals_per_resample_design(seqs, filters):
                 survival_stderr=stderr, shots=rec.shots, trajectories=rec.trajectories,
                 seed=rec.seed,
             ))
-        usable = [resampled[i] for i in _usable_indices(resampled, DEFAULT_SATURATION_FLOOR)]
+        usable = [r for r in resampled
+                  if not decay_from_survival(r.survival_mean, DEFAULT_SATURATION_FLOOR).saturated]
         dropped.add(len(records) - len(usable))
+        chi = np.array([decay_from_survival(r.survival_mean).chi for r in usable])
+        # 1/sqrt(max((2 se / (2p - 1))**2, 1e-24)), squared by multiplication: Python's
+        # float ** goes through libm pow, which need not round correctly
+        ratio = [2.0 * r.survival_stderr / (2.0 * r.survival_mean - 1.0) for r in usable]
+        weights = np.array([1.0 / np.sqrt(max(q * q, 1e-24)) for q in ratio])
         design = _binned_filter_matrix(usable, by_label, edges)
-        _, values[b] = _weighted_inversion(
-            usable, design, DEFAULT_SATURATION_FLOOR, 0.0, check_rank=False
-        )
+        values[b], _ = scipy_nnls(design * weights[:, None], chi * weights)
     assert len(dropped) > 1 and 0 in dropped
     assert np.array_equal(result.median.values, np.median(values, axis=0))
     assert np.array_equal(result.lower, np.quantile(values, 0.025, axis=0))
     assert np.array_equal(result.upper, np.quantile(values, 0.975, axis=0))
+
+
+@pytest.mark.parametrize(
+    "case, power, recon_kwargs, digest",
+    [
+        # sequences 7, 8, 14 and 15 sit at or below the saturation floor, and
+        # resamples move their neighbours across it
+        ("straddle", 0.2, {},
+         "afa644cbc906d834c43f259e0271512fd166a56982d540e317a2b588d21263d3"),
+        ("ridge", 0.01, {"ridge": 1e16},
+         "f78c1bff694c4d39635304f6ccd5b56f8078b9e09f5aa23a3ba211e7f5306e01"),
+    ],
+)
+def test_bootstrap_golden_digest(tmp_path, case, power, recon_kwargs, digest):
+    # pins the point estimate, the bootstrap draws and the band arithmetic
+    seqs = make_fttps(16, 64, T_G)
+    filters = [filter_function(s, 1025) for s in seqs]
+    model = design_bandpass(1.5e6, 1.0e6, power, T_G, taps=101)
+    records = run_experiment(
+        seqs, model, mode=GateMode(trajectories=20, shots_per_trajectory=50), seed=5,
+        keep_raw=True,
+    )
+    point = reconstruct_spectrum(records, filters, **recon_kwargs)
+    band = bootstrap_spectrum(records, filters, resamples=40, seed=3, **recon_kwargs)
+    path = tmp_path / "spectrum.csv"
+    write_spectrum_estimate_csv(path, point, band)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_bootstrap_returns_point_estimate(mc_run, filters):
+    _, records = mc_run
+    band = bootstrap_spectrum(records, filters, resamples=2, seed=1, ridge=1e6)
+    point = reconstruct_spectrum(records, filters, ridge=1e6)
+    for name in ("freqs", "values", "bin_edges", "stderr", "labels"):
+        assert np.array_equal(getattr(band.point, name), getattr(point, name))
