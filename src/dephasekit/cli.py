@@ -293,6 +293,15 @@ def cmd_fit(config: dict, args) -> None:
                 f"match the filters' grid of {filters[0].freqs.size} points (grid_size)"
             )
     kind = _get(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE)
+    if kind not in predictor._PARAM_NAMES:
+        raise ConfigError(
+            f"key 'model_kind': expected one of {sorted(predictor._PARAM_NAMES)}, got {kind!r}"
+        )
+    mask = _get(config, "mask", list, [])
+    labels = {r.label for r in records}
+    for k in mask:
+        if isinstance(k, bool) or not isinstance(k, int) or k not in labels:
+            raise ConfigError(f"key 'mask': entry {k!r} is not the seq_index of a record")
     n_starts = _get(config, "n_starts", int, 8)
     if n_starts < 1:
         raise ConfigError(f"key 'n_starts': expected an integer >= 1, got {n_starts}")
@@ -301,7 +310,7 @@ def cmd_fit(config: dict, args) -> None:
         filters,
         injected=injected,
         kind=kind,
-        mask=_get(config, "mask", list, []),
+        mask=mask,
         n_starts=n_starts,
         seed=_seed(config, args),
     )

@@ -107,11 +107,13 @@ class ArmaModel:
         """
         return self._ar_root_radius() < 1.0
 
-    def stability_diagnostic(self) -> str:
-        return (
-            f"model with ar={list(self.ar)} is unstable: "
-            f"largest AR root modulus {self._ar_root_radius():.6g} (need < 1)"
-        )
+    def check_stable(self) -> None:
+        """Raise :class:`UnstableModelError`, naming the largest AR root modulus, unless stable."""
+        if not self.is_stable():
+            raise UnstableModelError(
+                f"model with ar={list(self.ar)} is unstable: "
+                f"largest AR root modulus {self._ar_root_radius():.6g} (need < 1)"
+            )
 
 
 @dataclass(frozen=True)
@@ -171,8 +173,7 @@ def generate_trajectory(model: ArmaModel, length: int, seed: "int | SeedLineage"
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    if not model.is_stable():
-        raise UnstableModelError(model.stability_diagnostic())
+    model.check_stable()
     lineage = as_lineage(seed)
     normals = lineage.generator().standard_normal(model.burn_in + length)
     phases = _synthesize_phases(model, normals)
@@ -241,8 +242,7 @@ def autocovariance(model: ArmaModel, max_lag: int) -> np.ndarray:
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    if not model.is_stable():
-        raise UnstableModelError(model.stability_diagnostic())
+    model.check_stable()
     p, q = model.order
     if p == 0:
         h = np.asarray(model.ma, dtype=float)

@@ -27,10 +27,12 @@ from .sequences import FilterFunction, _filters_by_label
 
 LORENTZIAN_PLUS_WHITE = "lorentzian_plus_white"
 WHITE_ONLY = "white_only"
-_PARAM_NAMES = {
-    LORENTZIAN_PLUS_WHITE: ("amplitude", "cutoff_sq", "white_floor", "c1", "c2"),
-    WHITE_ONLY: ("white_floor", "c1", "c2"),
-}
+# both kinds evaluate one vector (amplitude, cutoff_sq, white_floor, c1, c2); a kind fits
+# a slice of it, and the entries it leaves out keep their _PINNED values
+_VECTOR_NAMES = ("amplitude", "cutoff_sq", "white_floor", "c1", "c2")
+_PINNED = (0.0, 1.0, 0.0, 0.0, 0.0)
+_FREE = {LORENTZIAN_PLUS_WHITE: slice(0, 5), WHITE_ONLY: slice(2, 5)}
+_PARAM_NAMES = {kind: _VECTOR_NAMES[free] for kind, free in _FREE.items()}
 
 
 class FitConvergenceWarning(UserWarning):
@@ -72,19 +74,21 @@ class FitParams:
         object.__setattr__(self, "mask", frozenset(int(k) for k in self.mask))
 
     def to_vector(self) -> np.ndarray:
-        if self.kind == WHITE_ONLY:
-            return np.array([self.white_floor, self.c1, self.c2])
-        return np.array([self.amplitude, self.cutoff**2, self.white_floor, self.c1, self.c2])
+        full = np.array([self.amplitude, self.cutoff**2, self.white_floor, self.c1, self.c2])
+        return full[_FREE[self.kind]]
 
     @classmethod
     def from_vector(cls, x: np.ndarray, kind: str, mask: frozenset) -> "FitParams":
-        if kind == WHITE_ONLY:
-            s2, c1, c2 = x
-            return cls(amplitude=0.0, cutoff=1.0, white_floor=s2, c1=c1, c2=c2,
-                       kind=kind, mask=mask)
-        a, wc2, s2, c1, c2 = x
+        a, wc2, s2, c1, c2 = _full_vector(x, kind)
         return cls(amplitude=a, cutoff=float(np.sqrt(wc2)), white_floor=s2,
                    c1=c1, c2=c2, kind=kind, mask=mask)
+
+
+def _full_vector(x: np.ndarray, kind: str) -> np.ndarray:
+    """The five-entry model vector: ``x`` in the kind's slice, pinned values elsewhere."""
+    full = np.array(_PINNED)
+    full[_FREE[kind]] = x
+    return full
 
 
 def predict_survival(
@@ -138,13 +142,9 @@ class _ModelMatrix:
             self.chi_injected = gmat @ injected.values
 
     def exponent(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == WHITE_ONLY:
-            s2, c1, c2 = x
-            chi_nat = s2 * self.g_total
-        else:
-            a, wc2, s2, c1, c2 = x
-            lor = wc2 / (wc2 + self.omega_sq)
-            chi_nat = a * (self.gmat @ lor) + s2 * self.g_total
+        a, wc2, s2, c1, c2 = _full_vector(x, self.kind)
+        lor = wc2 / (wc2 + self.omega_sq)
+        chi_nat = a * (self.gmat @ lor) + s2 * self.g_total
         return chi_nat + self.chi_injected + c1 * self.n_pulses + c2 * self.n_pulses**2
 
     def model(self, x: np.ndarray) -> np.ndarray:
@@ -156,25 +156,22 @@ class _ModelMatrix:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic d residual / d x."""
         decay = -0.5 * np.exp(-self.exponent(x))  # dp/dE
-        if self.kind == WHITE_ONLY:
-            de = np.column_stack([self.g_total, self.n_pulses, self.n_pulses**2])
-        else:
-            a, wc2, _, _, _ = x
-            lor = wc2 / (wc2 + self.omega_sq)
-            d_wc2 = self.omega_sq / (wc2 + self.omega_sq) ** 2
-            de = np.column_stack(
-                [
-                    self.gmat @ lor,
-                    a * (self.gmat @ d_wc2),
-                    self.g_total,
-                    self.n_pulses,
-                    self.n_pulses**2,
-                ]
-            )
-        return decay[:, None] * de
+        a, wc2, _, _, _ = _full_vector(x, self.kind)
+        lor = wc2 / (wc2 + self.omega_sq)
+        d_wc2 = self.omega_sq / (wc2 + self.omega_sq) ** 2
+        de = np.column_stack(
+            [
+                self.gmat @ lor,
+                a * (self.gmat @ d_wc2),
+                self.g_total,
+                self.n_pulses,
+                self.n_pulses**2,
+            ]
+        )
+        return decay[:, None] * de[:, _FREE[self.kind]]
 
 
-def _default_init(matrix: _ModelMatrix, kind: str) -> np.ndarray:
+def _default_init(matrix: _ModelMatrix) -> np.ndarray:
     """Heuristic start: white floor from the high-pulse-count tail, small c's."""
     with np.errstate(invalid="ignore", divide="ignore"):
         chi_meas = -np.log(np.clip(2.0 * matrix.measured - 1.0, 1e-12, None))
@@ -183,8 +180,6 @@ def _default_init(matrix: _ModelMatrix, kind: str) -> np.ndarray:
     tail = order[-max(len(order) // 4, 2):]
     s2 = float(np.median(chi_excess[tail] / matrix.g_total[tail]))
     s2 = max(s2, 1e-12)
-    if kind == WHITE_ONLY:
-        return np.array([s2, 1e-4, 1e-4])
     # Lorentzian scale from the lowest-pulse-count residuals
     low = order[:2]
     resid = np.clip(chi_excess[low] - s2 * matrix.g_total[low], 0.0, None)
@@ -193,7 +188,7 @@ def _default_init(matrix: _ModelMatrix, kind: str) -> np.ndarray:
     lor_response = matrix.gmat[low] @ (wc**2 / (wc**2 + matrix.omega_sq))
     denom = float(np.dot(lor_response, lor_response))
     amp = float(np.dot(resid, lor_response) / denom) if denom > 0 else 0.0
-    return np.array([max(amp, 1e-12), wc**2, s2, 1e-4, 1e-4])
+    return np.array([max(amp, 1e-12), wc**2, s2, 1e-4, 1e-4])[_FREE[matrix.kind]]
 
 
 def _spread_starts(x0: np.ndarray, n_starts: int, seed: int) -> "list[np.ndarray]":
@@ -222,7 +217,6 @@ def fit(
     injected: Optional[Spectrum] = None,
     kind: str = LORENTZIAN_PLUS_WHITE,
     mask: Sequence[int] = (),
-    init: Optional[FitParams] = None,
     n_starts: int = 8,
     seed: int = 0,
     max_nfev: int = 2000,
@@ -245,8 +239,7 @@ def fit(
             f"got {len(used)}"
         )
     matrix = _ModelMatrix(used, filters, injected, kind)
-    x0 = init.to_vector() if init is not None else _default_init(matrix, kind)
-    x0 = np.clip(x0, 1e-15, None)
+    x0 = np.clip(_default_init(matrix), 1e-15, None)
     starts = _spread_starts(x0, n_starts, seed)
     # parameter magnitudes span many decades (PSD levels vs squared angular
     # cutoffs), so scale each variable by its start value

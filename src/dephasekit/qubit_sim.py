@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise_models import ArmaModel, Trajectory, UnstableModelError, autocovariance
+from .noise_models import ArmaModel, Trajectory, autocovariance
 from .noise_models import _synthesize_phases
 from .seeds import (
     STREAM_INJECTED,
@@ -46,10 +46,6 @@ class PulseErrorModel:
     def __post_init__(self):
         if self.jitter_std < 0:
             raise ValueError("jitter_std must be >= 0")
-
-    @property
-    def is_perfect(self) -> bool:
-        return self.over_rotation == 0.0 and self.jitter_std == 0.0
 
 
 @dataclass(frozen=True)
@@ -169,19 +165,17 @@ def run_shot(
     return float(p[0])
 
 
-def _check_gate_aligned(model: Optional[ArmaModel], gate_period: float, role: str) -> None:
+def _check_gate_aligned(
+    model: Optional[ArmaModel], period: float, role: str, period_name: str = "the gate period"
+) -> None:
+    """Reject a model whose sample period is not ``period`` (the gate period by default)."""
     if model is None:
         return
-    if not np.isclose(model.sample_period, gate_period, rtol=1e-9, atol=0.0):
+    if not np.isclose(model.sample_period, period, rtol=1e-9, atol=0.0):
         raise ValueError(
             f"{role} model sample_period {model.sample_period!r} must equal "
-            f"the gate period {gate_period!r} in this mode"
+            f"{period_name} {period!r}"
         )
-
-
-def _stationary_check(model: Optional[ArmaModel]) -> None:
-    if model is not None and not model.is_stable():
-        raise UnstableModelError(model.stability_diagnostic())
 
 
 def _binomial_stderr(mean: float, total: int) -> float:
@@ -231,7 +225,7 @@ def _injected_gate_phases(
     Row r equals ``generate_trajectory(model, seq.n_slots, root.child(seq.label, r,
     STREAM_INJECTED))``.  The model must be stable and sampled at the gate period.
     """
-    _stationary_check(model)
+    model.check_stable()
     _check_gate_aligned(model, seq.gate_period, "injected")
     root = as_lineage(seed)
     return _gate_phase_block(model, trajectories, seq.n_slots, root, seq.label, STREAM_INJECTED)
@@ -273,28 +267,49 @@ def run_experiment(
     target_state: int = 1,
     keep_raw: bool = False,
 ) -> "list[ExperimentRecord]":
-    """Simulate every sequence and return survival records, deterministic per seed."""
+    """Simulate every sequence and return survival records, deterministic per seed.
+
+    Both models' stability and sample periods are checked here, before any sequence runs.
+    """
     if not sequences:
         raise ValueError("at least one sequence is required")
     perr = pulse_errors or PulseErrorModel()
     root = as_lineage(seed)
-    _stationary_check(model)
-    _stationary_check(native_model)
+    for m in (model, native_model):
+        if m is not None:
+            m.check_stable()
     gate_period = sequences[0].gate_period
     if any(not np.isclose(s.gate_period, gate_period, rtol=1e-12) for s in sequences):
         raise ValueError("all sequences must share one gate period")
     _check_gate_aligned(native_model, gate_period, "native")
     if isinstance(mode, GateMode):
-        return [
-            _run_gate_sequence(s, model, native_model, perr, mode, root, target_state, keep_raw)
-            for s in sequences
-        ]
-    if isinstance(mode, SdrMode):
-        return [
-            _run_sdr_sequence(s, model, native_model, perr, mode, root, target_state, keep_raw)
-            for s in sequences
-        ]
-    raise ValueError(f"unsupported mode {mode!r}")
+        _check_gate_aligned(model, gate_period, "injected")
+        run = _run_gate_sequence
+    elif isinstance(mode, SdrMode):
+        _check_gate_aligned(model, mode.phase_update_period, "injected",
+                            "the SDR phase_update_period")
+        run = _run_sdr_sequence
+    else:
+        raise ValueError(f"unsupported mode {mode!r}")
+    return [run(s, model, native_model, perr, mode, root, target_state, keep_raw)
+            for s in sequences]
+
+
+def _record(
+    seq: PulseSequence, fractions: np.ndarray, shots: int, root: SeedLineage, keep_raw: bool
+) -> ExperimentRecord:
+    """The record of ``seq`` from per-trajectory survival fractions of ``shots`` shots each."""
+    mean, stderr = _survival_stats(fractions, shots)
+    return ExperimentRecord(
+        label=seq.label,
+        n_pulses=seq.n_pulses,
+        survival_mean=mean,
+        survival_stderr=stderr,
+        shots=shots,
+        trajectories=fractions.size,
+        seed=root.root,
+        trajectory_survivals=fractions if keep_raw else None,
+    )
 
 
 def _run_gate_sequence(
@@ -309,7 +324,7 @@ def _run_gate_sequence(
 ) -> ExperimentRecord:
     n_traj = mode.trajectories
     k = seq.label
-    phases = _injected_gate_phases(seq, model, n_traj, root)
+    phases = _gate_phase_block(model, n_traj, seq.n_slots, root, k, STREAM_INJECTED)
     if native_model is not None:
         phases = phases + _gate_phase_block(
             native_model, n_traj, seq.n_slots, root, k, STREAM_NATIVE
@@ -322,17 +337,7 @@ def _run_gate_sequence(
     fractions = np.empty(n_traj)
     for r, rng in root.child(k).row_generators(n_traj, STREAM_MEASUREMENT):
         fractions[r] = rng.binomial(mode.shots_per_trajectory, p_traj[r]) / mode.shots_per_trajectory
-    mean, stderr = _survival_stats(fractions, mode.shots_per_trajectory)
-    return ExperimentRecord(
-        label=k,
-        n_pulses=seq.n_pulses,
-        survival_mean=mean,
-        survival_stderr=stderr,
-        shots=mode.shots_per_trajectory,
-        trajectories=n_traj,
-        seed=root.root,
-        trajectory_survivals=fractions if keep_raw else None,
-    )
+    return _record(seq, fractions, mode.shots_per_trajectory, root, keep_raw)
 
 
 def _run_sdr_sequence(
@@ -347,11 +352,6 @@ def _run_sdr_sequence(
 ) -> ExperimentRecord:
     k = seq.label
     n_shots = mode.shots
-    if not np.isclose(model.sample_period, mode.phase_update_period, rtol=1e-9, atol=0.0):
-        raise ValueError(
-            f"injected model sample_period {model.sample_period!r} must equal the "
-            f"SDR phase_update_period {mode.phase_update_period!r}"
-        )
     rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
     if mode.random_time_offset:
         offsets = rng_meas.uniform(0.0, mode.phase_update_period, size=n_shots)
@@ -373,17 +373,7 @@ def _run_sdr_sequence(
         jitter = np.zeros((n_shots, seq.n_pulses))
     p_shot = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     outcomes = (rng_meas.random(n_shots) < p_shot).astype(float)
-    mean, stderr = _survival_stats(outcomes, 1)
-    return ExperimentRecord(
-        label=k,
-        n_pulses=seq.n_pulses,
-        survival_mean=mean,
-        survival_stderr=stderr,
-        shots=1,
-        trajectories=n_shots,
-        seed=root.root,
-        trajectory_survivals=outcomes if keep_raw else None,
-    )
+    return _record(seq, outcomes, 1, root, keep_raw)
 
 
 def analytic_survival(

@@ -202,21 +202,22 @@ def read_sequences_json(path) -> "list[PulseSequence]":
     docs = read_json(path)
     if not isinstance(docs, list) or not docs:
         raise SchemaError(f"{path}: expected a non-empty list of sequence documents")
-    out = []
+    out = {}
     for doc in docs:
         try:
-            out.append(
-                PulseSequence(
-                    n_slots=int(doc["n_slots"]),
-                    pulse_slots=tuple(p["slot"] for p in doc["pulses"]),
-                    pulse_signs=tuple(p["sign"] for p in doc["pulses"]),
-                    gate_period=float(doc["gate_period_s"]),
-                    label=int(doc.get("label", 0)),
-                )
+            seq = PulseSequence(
+                n_slots=int(doc["n_slots"]),
+                pulse_slots=tuple(p["slot"] for p in doc["pulses"]),
+                pulse_signs=tuple(p["sign"] for p in doc["pulses"]),
+                gate_period=float(doc["gate_period_s"]),
+                label=int(doc.get("label", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: invalid sequence document: {exc}") from exc
-    return out
+        if seq.label in out:
+            raise SchemaError(f"{path}: label {seq.label}: repeated sequence document")
+        out[seq.label] = seq
+    return list(out.values())
 
 
 # -- filter functions ----------------------------------------------------------

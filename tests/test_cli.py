@@ -621,7 +621,8 @@ def _bad_input_run(tmp_path, case):
     if case == "reconstruct-nan-stderr":
         cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
         return "reconstruct", cfg, records, True
-    if case.startswith(("reconstruct-records-", "reconstruct-native-", "fit-")):
+    if case.startswith(("reconstruct-records-", "reconstruct-native-", "reconstruct-repeated-",
+                        "fit-")):
         return _mismatch_run(tmp_path, case, records, seqs)
     if case == "simulate-missing-model":
         return "simulate", simulate, model, False
@@ -685,6 +686,11 @@ def _mismatch_run(tmp_path, case, records, seqs):
         model = ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G)
         write_spectrum_csv(faulty, psd(model, 513))  # the filters use the default 4097 points
         cfg["injected_spectrum"] = str(faulty)
+    if fault == "repeated-label":  # a second label-5 document with shifted slots
+        docs = json.loads(seqs.read_text())
+        shifted = [dict(p, slot=p["slot"] - 1) for p in docs[5]["pulses"]]
+        seqs.write_text(json.dumps(docs + [dict(docs[5], pulses=shifted)]))
+        faulty = seqs
     return command, cfg, faulty, False
 
 
@@ -697,7 +703,7 @@ def _mismatch_run(tmp_path, case, records, seqs):
      "reconstruct-records-unknown-label", "reconstruct-records-wrong-n-pulses",
      "reconstruct-records-duplicate-row", "reconstruct-native-unknown-label",
      "reconstruct-native-wrong-n-pulses", "fit-unknown-label", "fit-wrong-n-pulses",
-     "fit-duplicate-row", "fit-grid-mismatch"],
+     "fit-duplicate-row", "fit-grid-mismatch", "reconstruct-repeated-label"],
 )
 def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)
@@ -741,8 +747,14 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, confi
         ("reconstruct", "bootstrap_quantiles", [0.9, 0.1]),
         ("reconstruct", "bootstrap_quantiles", [0.5, 0.5]),
         ("fit", "n_starts", 0),
+        ("fit", "model_kind", "pink"),
+        ("fit", "mask", ["a"]),
+        ("fit", "mask", [1.5]),
+        ("fit", "mask", [True]),
+        ("fit", "mask", [99]),
     ],
-    ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "zero-starts"],
+    ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "zero-starts",
+         "unknown-kind", "text-mask", "float-mask", "bool-mask", "unknown-mask"],
 )
 def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
     seqs = make_fttps(8, 32, T_G)

@@ -1,5 +1,7 @@
 """Survival-model and fitting tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -324,3 +326,30 @@ def test_warm_start_converges_within_budget(seqs, filters, monkeypatch):
     assert len(nfev) == 4 + 8 + 1  # white-only starts, Lorentzian starts, warm start
     assert max(nfev) < 2000
     assert result.converged
+
+
+def _fit_digest(result):
+    h = hashlib.sha256()
+    for values in (result.params.to_vector(), result.param_stderr, result.residuals):
+        h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    h.update(repr((float(result.loss), result.bounds_active, result.unresolved)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kind, digest",
+    [
+        (LORENTZIAN_PLUS_WHITE,
+         "09b9a63291267f726bb6efe9200065b0315009a4d4e9aee75251a8045f632307"),
+        (WHITE_ONLY, "695e6fea63e7bb7a07724f03efdbae3541478428c3e46e0f72778bc53ff98513"),
+    ],
+)
+def test_fit_golden_digest(seqs, filters, injected, kind, digest):
+    # pins the fitted vector, its stderr, the residuals, the loss and both flag lists:
+    # a change to the model evaluation, the starts or the solver settings shows here
+    records = shot_sampled(model_records(TRUE, seqs, filters, injected), 50000, seed=8)
+    if kind == LORENTZIAN_PLUS_WHITE:
+        result = fit(records, filters, injected, seed=3)
+    else:
+        result = fit(records, filters, None, kind=WHITE_ONLY, mask=(5, 9), seed=3)
+    assert _fit_digest(result) == digest
