@@ -72,6 +72,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _positive(config: dict, key: str, kind, default=_MISSING):
+    value = _get(config, key, kind, default)
+    if not value > 0:
+        raise ConfigError(f"key '{key}': expected a number > 0, got {value!r}")
+    return value
+
+
+def _target_state(config: dict) -> int:
+    target = _get(config, "target_state", int, 1)
+    if target not in (0, 1):
+        raise ConfigError(f"key 'target_state': expected 0 or 1, got {target!r}")
+    return target
+
+
 def _seed(config: dict, args) -> int:
     seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
     if seed < 0:
@@ -150,13 +164,13 @@ def _mode_from_config(config: dict):
     mode = _get(config, "mode", str)
     if mode == "gate":
         return qubit_sim.GateMode(
-            trajectories=_get(config, "trajectories", int),
-            shots_per_trajectory=_get(config, "shots_per_trajectory", int),
+            trajectories=_positive(config, "trajectories", int),
+            shots_per_trajectory=_positive(config, "shots_per_trajectory", int),
         )
     if mode == "sdr":
         return qubit_sim.SdrMode(
-            shots=_get(config, "shots", int),
-            phase_update_period=_get(config, "phase_update_period_s", float),
+            shots=_positive(config, "shots", int),
+            phase_update_period=_positive(config, "phase_update_period_s", float),
             random_time_offset=_get(config, "random_time_offset", bool, True),
         )
     raise ConfigError(f"key 'mode': expected gate or sdr, got {mode!r}")
@@ -180,7 +194,7 @@ def cmd_simulate(config: dict, args) -> None:
         pulse_errors=perr,
         mode=_mode_from_config(config),
         seed=_seed(config, args),
-        target_state=_get(config, "target_state", int, 1),
+        target_state=_target_state(config),
         keep_raw=keep_raw,
     )
     serialize.write_records_csv(out / "records.csv", records)
@@ -302,9 +316,10 @@ def cmd_fit(config: dict, args) -> None:
     for k in mask:
         if isinstance(k, bool) or not isinstance(k, int) or k not in labels:
             raise ConfigError(f"key 'mask': entry {k!r} is not the seq_index of a record")
-    n_starts = _get(config, "n_starts", int, 8)
-    if n_starts < 1:
-        raise ConfigError(f"key 'n_starts': expected an integer >= 1, got {n_starts}")
+    n_free, n_fit = len(predictor._PARAM_NAMES[kind]), len(labels - set(mask))
+    if n_fit <= n_free:
+        raise ConfigError(f"key 'mask': leaves {n_fit} records, {kind} needs at least {n_free + 1}")
+    n_starts = _positive(config, "n_starts", int, 8)
     result = predictor.fit(
         records,
         filters,
@@ -346,8 +361,8 @@ def cmd_export_circuits(config: dict, args) -> None:
     out = _out_dir(args)
     seqs = _sequences_from_config(config)
     model = serialize.read_model_json(_get(config, "model", str))
-    n_traj = _get(config, "trajectories", int)
-    target = _get(config, "target_state", int, 1)
+    n_traj = _positive(config, "trajectories", int)
+    target = _target_state(config)
     prefix = _get(config, "prefix", str, "circuit")
     seed = _seed(config, args)
     count = 0

@@ -200,20 +200,35 @@ def _survival_stats(fractions: np.ndarray, shots_each: int) -> tuple[float, floa
     return mean, max(scatter, _binomial_stderr(mean, n_traj * shots_each))
 
 
-def _gate_phase_block(
+def _unit_normals(
+    root: SeedLineage, label: int, stream: int, shape: "tuple[int, int]", sdr: bool = False
+) -> np.ndarray:
+    """(rows, cols) unit normals of one sequence's stream: the one draw rule.
+
+    Gate mode draws row r from ``root.child(label, r, stream)``; SDR mode draws
+    the whole block from ``root.child(label, 0, stream)``.
+    """
+    if sdr:
+        return root.child(label, 0, stream).generator().standard_normal(shape)
+    out = np.empty(shape)
+    for r, rng in root.child(label).row_generators(shape[0], stream):
+        rng.standard_normal(out=out[r])
+    return out
+
+
+def _model_phases(
     model: Optional[ArmaModel],
-    n_traj: int,
-    n_slots: int,
     root: SeedLineage,
     label: int,
     stream: int,
+    rows: int,
+    n_slots: int,
+    sdr: bool = False,
 ) -> np.ndarray:
-    """(n_traj, n_slots) gate-aligned phase increments, one row per trajectory."""
+    """(rows, n_slots) slot phases of ``model`` on one stream; zero for a silent or absent model."""
     if model is None or model.drive_std == 0.0:
-        return np.zeros((n_traj, n_slots))
-    normals = np.empty((n_traj, model.burn_in + n_slots))
-    for r, rng in root.child(label).row_generators(n_traj, stream):
-        rng.standard_normal(out=normals[r])
+        return np.zeros((rows, n_slots))
+    normals = _unit_normals(root, label, stream, (rows, model.burn_in + n_slots), sdr)
     return _synthesize_phases(model, normals)
 
 
@@ -228,7 +243,7 @@ def _injected_gate_phases(
     model.check_stable()
     _check_gate_aligned(model, seq.gate_period, "injected")
     root = as_lineage(seed)
-    return _gate_phase_block(model, trajectories, seq.n_slots, root, seq.label, STREAM_INJECTED)
+    return _model_phases(model, root, seq.label, STREAM_INJECTED, trajectories, seq.n_slots)
 
 
 def _sdr_slot_phases(
@@ -269,10 +284,13 @@ def run_experiment(
 ) -> "list[ExperimentRecord]":
     """Simulate every sequence and return survival records, deterministic per seed.
 
-    Both models' stability and sample periods are checked here, before any sequence runs.
+    ``target_state``, both models' stability and the sample periods are checked
+    here, before any sequence runs.
     """
     if not sequences:
         raise ValueError("at least one sequence is required")
+    if target_state not in (0, 1):
+        raise ValueError(f"target_state must be 0 or 1, got {target_state!r}")
     perr = pulse_errors or PulseErrorModel()
     root = as_lineage(seed)
     for m in (model, native_model):
@@ -284,96 +302,60 @@ def run_experiment(
     _check_gate_aligned(native_model, gate_period, "native")
     if isinstance(mode, GateMode):
         _check_gate_aligned(model, gate_period, "injected")
-        run = _run_gate_sequence
     elif isinstance(mode, SdrMode):
         _check_gate_aligned(model, mode.phase_update_period, "injected",
                             "the SDR phase_update_period")
-        run = _run_sdr_sequence
     else:
         raise ValueError(f"unsupported mode {mode!r}")
-    return [run(s, model, native_model, perr, mode, root, target_state, keep_raw)
+    return [_run_sequence(s, model, native_model, perr, mode, root, target_state, keep_raw)
             for s in sequences]
 
 
-def _record(
-    seq: PulseSequence, fractions: np.ndarray, shots: int, root: SeedLineage, keep_raw: bool
+def _run_sequence(
+    seq: PulseSequence,
+    model: ArmaModel,
+    native_model: Optional[ArmaModel],
+    perr: PulseErrorModel,
+    mode: "GateMode | SdrMode",
+    root: SeedLineage,
+    target_state: int,
+    keep_raw: bool,
 ) -> ExperimentRecord:
-    """The record of ``seq`` from per-trajectory survival fractions of ``shots`` shots each."""
+    """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots."""
+    k, sdr = seq.label, isinstance(mode, SdrMode)
+    rows = mode.shots if sdr else mode.trajectories
+    if sdr:
+        rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
+        offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
+                   if mode.random_time_offset else np.zeros(rows))
+        phases = _sdr_slot_phases(
+            model, rows, seq.total_time + mode.phase_update_period, seq.n_slots,
+            seq.gate_period, offsets, root.child(k, 0, STREAM_INJECTED).generator(),
+        )
+    else:
+        phases = _model_phases(model, root, k, STREAM_INJECTED, rows, seq.n_slots)
+    phases = phases + _model_phases(native_model, root, k, STREAM_NATIVE, rows, seq.n_slots, sdr)
+    jitter = np.zeros((rows, seq.n_pulses))
+    if perr.jitter_std > 0:
+        jitter = perr.jitter_std * _unit_normals(root, k, STREAM_PULSE_JITTER, jitter.shape, sdr)
+    p = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
+    if sdr:
+        shots, fractions = 1, (rng_meas.random(rows) < p).astype(float)
+    else:
+        shots, fractions = mode.shots_per_trajectory, np.empty(rows)
+        for r, rng in root.child(k).row_generators(rows, STREAM_MEASUREMENT):
+            fractions[r] = rng.binomial(shots, p[r]) / shots
     mean, stderr = _survival_stats(fractions, shots)
     return ExperimentRecord(
-        label=seq.label,
+        label=k,
         n_pulses=seq.n_pulses,
         survival_mean=mean,
         survival_stderr=stderr,
         shots=shots,
-        trajectories=fractions.size,
+        trajectories=rows,
         seed=root.root,
         trajectory_survivals=fractions if keep_raw else None,
     )
-
-
-def _run_gate_sequence(
-    seq: PulseSequence,
-    model: ArmaModel,
-    native_model: Optional[ArmaModel],
-    perr: PulseErrorModel,
-    mode: GateMode,
-    root: SeedLineage,
-    target_state: int,
-    keep_raw: bool,
-) -> ExperimentRecord:
-    n_traj = mode.trajectories
-    k = seq.label
-    phases = _gate_phase_block(model, n_traj, seq.n_slots, root, k, STREAM_INJECTED)
-    if native_model is not None:
-        phases = phases + _gate_phase_block(
-            native_model, n_traj, seq.n_slots, root, k, STREAM_NATIVE
-        )
-    jitter = np.zeros((n_traj, seq.n_pulses))
-    if perr.jitter_std > 0:
-        for r, rng in root.child(k).row_generators(n_traj, STREAM_PULSE_JITTER):
-            jitter[r] = perr.jitter_std * rng.standard_normal(seq.n_pulses)
-    p_traj = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
-    fractions = np.empty(n_traj)
-    for r, rng in root.child(k).row_generators(n_traj, STREAM_MEASUREMENT):
-        fractions[r] = rng.binomial(mode.shots_per_trajectory, p_traj[r]) / mode.shots_per_trajectory
-    return _record(seq, fractions, mode.shots_per_trajectory, root, keep_raw)
-
-
-def _run_sdr_sequence(
-    seq: PulseSequence,
-    model: ArmaModel,
-    native_model: Optional[ArmaModel],
-    perr: PulseErrorModel,
-    mode: SdrMode,
-    root: SeedLineage,
-    target_state: int,
-    keep_raw: bool,
-) -> ExperimentRecord:
-    k = seq.label
-    n_shots = mode.shots
-    rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
-    if mode.random_time_offset:
-        offsets = rng_meas.uniform(0.0, mode.phase_update_period, size=n_shots)
-    else:
-        offsets = np.zeros(n_shots)
-    rng_noise = root.child(k, 0, STREAM_INJECTED).generator()
-    phases = _sdr_slot_phases(
-        model, n_shots, seq.total_time + mode.phase_update_period,
-        seq.n_slots, seq.gate_period, offsets, rng_noise,
-    )
-    if native_model is not None and native_model.drive_std > 0:
-        rng_nat = root.child(k, 0, STREAM_NATIVE).generator()
-        normals = rng_nat.standard_normal((n_shots, native_model.burn_in + seq.n_slots))
-        phases += _synthesize_phases(native_model, normals)
-    if perr.jitter_std > 0:
-        rng_jit = root.child(k, 0, STREAM_PULSE_JITTER).generator()
-        jitter = perr.jitter_std * rng_jit.standard_normal((n_shots, seq.n_pulses))
-    else:
-        jitter = np.zeros((n_shots, seq.n_pulses))
-    p_shot = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
-    outcomes = (rng_meas.random(n_shots) < p_shot).astype(float)
-    return _record(seq, outcomes, 1, root, keep_raw)
 
 
 def analytic_survival(

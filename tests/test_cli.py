@@ -752,9 +752,11 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, confi
         ("fit", "mask", [1.5]),
         ("fit", "mask", [True]),
         ("fit", "mask", [99]),
+        ("fit", "mask", [0, 1, 2]),
     ],
     ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "zero-starts",
-         "unknown-kind", "text-mask", "float-mask", "bool-mask", "unknown-mask"],
+         "unknown-kind", "text-mask", "float-mask", "bool-mask", "unknown-mask",
+         "mask-leaves-too-few"],
 )
 def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
     seqs = make_fttps(8, 32, T_G)
@@ -773,6 +775,39 @@ def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
             "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     assert f"key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("simulate", "target_state", 2),
+        ("export-circuits", "target_state", 2),
+        ("simulate", "trajectories", 0),
+        ("simulate", "shots_per_trajectory", 0),
+        ("simulate", "shots", 0),
+        ("simulate", "phase_update_period_s", 0.0),
+        ("simulate", "phase_update_period_s", -1e-7),
+        ("export-circuits", "trajectories", 0),
+    ],
+    ids=["simulate-target-state", "export-target-state", "zero-trajectories", "zero-shots-each",
+         "zero-sdr-shots", "zero-update-period", "negative-update-period",
+         "export-zero-trajectories"],
+)
+def test_cli_bad_simulation_setting_exit_code(tmp_path, capsys, command, key, value):
+    model = tmp_path / "model.json"
+    write_model_json(model, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G))
+    sdr = key in ("shots", "phase_update_period_s")
+    cfg = {
+        "schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+        "gate_period_s": T_G, "model": str(model), "mode": "sdr" if sdr else "gate",
+        "trajectories": 2, "shots_per_trajectory": 10, "shots": 10, "phase_update_period_s": T_G,
+        key: value,
+    }
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*"))
 
 
 def test_cli_full_pipeline_byte_reproducible(pipeline, tmp_path):

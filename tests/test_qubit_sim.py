@@ -144,6 +144,33 @@ def test_zero_drive_all_records_exactly_one():
         assert rec.survival_stderr > 0  # floored, keeps downstream weights finite
 
 
+TARGET_ZERO_MODES = [
+    GateMode(trajectories=200, shots_per_trajectory=500),
+    SdrMode(shots=4000, phase_update_period=T_G),
+]
+
+
+@pytest.mark.parametrize("mode", TARGET_ZERO_MODES, ids=["gate", "sdr"])
+def test_target_state_zero_silent_model_survival_exactly_one(mode):
+    # perfect pulses and no noise end exactly in |0> when |0> is the target
+    silent = ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=T_G)
+    records = run_experiment(make_fttps(6, N, T_G), silent, mode=mode, seed=2, target_state=0)
+    assert [rec.survival_mean for rec in records] == [1.0] * 6
+
+
+@pytest.mark.parametrize("mode", TARGET_ZERO_MODES, ids=["gate", "sdr"])
+def test_target_state_zero_white_matches_analytic(mode):
+    seqs = make_fttps(6, N, T_G)
+    records = run_experiment(seqs, WHITE_01, mode=mode, seed=23, target_state=0)
+    for rec, seq in zip(records, seqs):
+        assert abs(rec.survival_mean - analytic_survival(seq, WHITE_01)) < 5 * rec.survival_stderr
+
+
+def test_run_experiment_rejects_bad_target_state():
+    with pytest.raises(ValueError, match="target_state"):
+        run_experiment(make_fttps(2, N, T_G), WHITE_01, mode=GateMode(2, 2), target_state=2)
+
+
 def test_records_deterministic():
     seqs = make_fttps(4, N, T_G)
     mode = GateMode(trajectories=5, shots_per_trajectory=20)
