@@ -79,6 +79,13 @@ def _positive(config: dict, key: str, kind, default=_MISSING):
     return value
 
 
+def _at_least(config: dict, key: str, kind, low, default=_MISSING):
+    value = _get(config, key, kind, default)
+    if not value >= low:
+        raise ConfigError(f"key '{key}': expected a number >= {low}, got {value!r}")
+    return value
+
+
 def _target_state(config: dict) -> int:
     target = _get(config, "target_state", int, 1)
     if target not in (0, 1):
@@ -98,7 +105,7 @@ def _seed(config: dict, args) -> int:
 def cmd_design(config: dict, args) -> None:
     out = _out_dir(args)
     kind = _get(config, "kind", str)
-    t_s = _get(config, "sample_period_s", float)
+    t_s = _positive(config, "sample_period_s", float)
     taps = _get(config, "taps", int, noise_models.DEFAULT_TAPS)
     grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE)
     if kind == "bandpass":
@@ -153,10 +160,11 @@ def _sequences_from_config(config: dict) -> "list[sequences.PulseSequence]":
     if family not in ("fttps", "rfttps"):
         raise ConfigError(f"key 'family': expected fttps or rfttps, got {family!r}")
     maker = sequences.make_fttps if family == "fttps" else sequences.make_rfttps
+    n_sequences = _positive(config, "n_sequences", int)
     return maker(
-        _get(config, "n_sequences", int),
-        _get(config, "n_slots", int),
-        _get(config, "gate_period_s", float),
+        n_sequences,
+        _at_least(config, "n_slots", int, n_sequences),
+        _positive(config, "gate_period_s", float),
     )
 
 
@@ -184,7 +192,7 @@ def cmd_simulate(config: dict, args) -> None:
     native = serialize.read_model_json(native_path) if native_path else None
     perr = qubit_sim.PulseErrorModel(
         over_rotation=_get(config, "over_rotation_rad", float, 0.0),
-        jitter_std=_get(config, "jitter_std_rad", float, 0.0),
+        jitter_std=_at_least(config, "jitter_std_rad", float, 0.0, 0.0),
     )
     keep_raw = _get(config, "keep_raw", bool, False)
     records = qubit_sim.run_experiment(
@@ -245,7 +253,7 @@ def cmd_reconstruct(config: dict, args) -> None:
     floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
     ridge = _get(config, "ridge", float, 0.0)
     bins = _get(config, "bins", int, None)
-    resamples = _get(config, "bootstrap_resamples", int, 0)
+    resamples = _at_least(config, "bootstrap_resamples", int, 0, 0)
     band = None
     if resamples > 0:
         quantiles = _bootstrap_quantiles(config)
@@ -319,16 +327,7 @@ def cmd_fit(config: dict, args) -> None:
     n_free, n_fit = len(predictor._PARAM_NAMES[kind]), len(labels - set(mask))
     if n_fit <= n_free:
         raise ConfigError(f"key 'mask': leaves {n_fit} records, {kind} needs at least {n_free + 1}")
-    n_starts = _positive(config, "n_starts", int, 8)
-    result = predictor.fit(
-        records,
-        filters,
-        injected=injected,
-        kind=kind,
-        mask=mask,
-        n_starts=n_starts,
-        seed=_seed(config, args),
-    )
+    result = predictor.fit(records, filters, injected=injected, kind=kind, mask=mask)
     report = {
         "schema_version": SCHEMA_VERSION,
         "model_kind": result.params.kind,
@@ -339,10 +338,12 @@ def cmd_fit(config: dict, args) -> None:
             "c1": result.params.c1,
             "c2": result.params.c2,
         },
-        "param_stderr": list(result.param_stderr),
+        "param_stderr": [float(e) if math.isfinite(e) else None for e in result.param_stderr],
         "bounds_active": list(result.bounds_active),
         "unresolved": list(result.unresolved),
         "loss": result.loss,
+        "chi2_per_dof": result.chi2_per_dof,
+        "saturated": list(result.saturated),
         "converged": result.converged,
         "message": result.message,
         "mask": sorted(result.params.mask),

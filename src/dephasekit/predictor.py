@@ -1,4 +1,4 @@
-"""Survival-probability model and bounded least-squares fitting.
+"""Survival-probability model and its variable-projection fit.
 
 The model for sequence k with n_k pulses and filter g_k is
 
@@ -8,8 +8,11 @@ where S_native is either a Lorentzian plus a white floor,
 A / (1 + omega^2 / omega_c^2) + sigma2, or a white floor alone, and c1, c2
 absorb stochastic and coherent pulse errors.  The injected spectrum is fixed
 data; fitting adjusts only the ancillary native-noise and pulse-error terms.
-The loss is taken on probabilities, which avoids the log-transform
-singularity near p = 1/2.
+The loss is the weighted chi^2 of the decay exponents chi = -ln(2p - 1), with
+the reconstruction's weights (``qns_recon._decays``): saturated records weigh 0.
+For a fixed omega_c^2 the exponent is linear and non-negative in
+(A, sigma2, c1, c2), so those come from one weighted NNLS and only omega_c^2
+is searched (variable projection, Golub & Pereyra 1973).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .noise_models import Spectrum
+from .qns_recon import DEFAULT_SATURATION_FLOOR, _decays, _weighted_inversion
 from .qubit_sim import ExperimentRecord
-from .seeds import as_lineage
 from .sequences import FilterFunction, _filters_by_label
 
 LORENTZIAN_PLUS_WHITE = "lorentzian_plus_white"
@@ -33,6 +36,10 @@ _VECTOR_NAMES = ("amplitude", "cutoff_sq", "white_floor", "c1", "c2")
 _PINNED = (0.0, 1.0, 0.0, 0.0, 0.0)
 _FREE = {LORENTZIAN_PLUS_WHITE: slice(0, 5), WHITE_ONLY: slice(2, 5)}
 _PARAM_NAMES = {kind: _VECTOR_NAMES[free] for kind, free in _FREE.items()}
+# the entries the NNLS solves for at a fixed cutoff_sq
+_LINEAR = {LORENTZIAN_PLUS_WHITE: [0, 2, 3, 4], WHITE_ONLY: [2, 3, 4]}
+_GRID_POINTS = 64  # log-spaced cutoff_sq values over the filters' band
+_MAX_NFEV = 100  # evaluation budget of the cutoff_sq refinement
 
 
 class FitConvergenceWarning(UserWarning):
@@ -107,9 +114,11 @@ def predict_survival(
 @dataclass(frozen=True)
 class FitResult:
     params: FitParams
-    loss: float  # sum of squared probability residuals
-    residuals: np.ndarray  # measured - model, per unmasked sequence
+    loss: float  # weighted chi^2 of the decay exponents
+    chi2_per_dof: float  # loss / (usable records - free parameters)
+    residuals: np.ndarray  # measured - model survival, per unmasked sequence
     labels: tuple[int, ...]
+    saturated: tuple[int, ...]  # unmasked labels the loss weighs 0
     covariance: np.ndarray
     param_stderr: np.ndarray
     bounds_active: tuple[str, ...]
@@ -117,7 +126,6 @@ class FitResult:
     converged: bool
     message: str
     jacobian_rel_err: float
-    n_starts: int
 
 
 class _ModelMatrix:
@@ -131,6 +139,9 @@ class _ModelMatrix:
         self.kind = kind
         self.labels = tuple(r.label for r in records)
         self.measured = np.array([r.survival_mean for r in records])
+        stderrs = np.array([r.survival_stderr for r in records])
+        usable, self.chi, self.weights = _decays(self.measured, stderrs, DEFAULT_SATURATION_FLOOR)
+        self.saturated = tuple(k for k, u in zip(self.labels, usable) if not u)
         self.n_pulses = np.array([r.n_pulses for r in records], dtype=float)
         gmat = np.vstack([by_label[r.label].weights for r in records])
         self.g_total = gmat.sum(axis=1)  # sum_m g[m]: white-floor response
@@ -151,53 +162,71 @@ class _ModelMatrix:
         return 0.5 + 0.5 * np.exp(-self.exponent(x))
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return self.model(x) - self.measured
+        """Weighted decay-exponent residuals, model minus measured; 0 where saturated."""
+        return self.weights * (self.exponent(x) - self.chi)
+
+    def _columns(self, a: float, wc2: float) -> np.ndarray:
+        """d exponent / d (amplitude, cutoff_sq, white_floor, c1, c2)."""
+        lor = wc2 / (wc2 + self.omega_sq)
+        d_wc2 = self.omega_sq / (wc2 + self.omega_sq) ** 2
+        return np.column_stack(
+            [self.gmat @ lor, a * (self.gmat @ d_wc2), self.g_total, self.n_pulses,
+             self.n_pulses**2]
+        )
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic d residual / d x."""
-        decay = -0.5 * np.exp(-self.exponent(x))  # dp/dE
-        a, wc2, _, _, _ = _full_vector(x, self.kind)
-        lor = wc2 / (wc2 + self.omega_sq)
-        d_wc2 = self.omega_sq / (wc2 + self.omega_sq) ** 2
-        de = np.column_stack(
-            [
-                self.gmat @ lor,
-                a * (self.gmat @ d_wc2),
-                self.g_total,
-                self.n_pulses,
-                self.n_pulses**2,
-            ]
-        )
-        return decay[:, None] * de[:, _FREE[self.kind]]
+        a, wc2 = _full_vector(x, self.kind)[:2]
+        return self.weights[:, None] * self._columns(a, wc2)[:, _FREE[self.kind]]
+
+    def project(self, wc2: float) -> np.ndarray:
+        """The kind's vector at cutoff_sq ``wc2`` with the loss-minimising linear entries:
+        one weighted NNLS of chi minus the injected exponent."""
+        full = np.array(_PINNED)
+        full[1] = wc2
+        linear = _LINEAR[self.kind]
+        columns = self._columns(1.0, wc2)[:, linear]
+        # unit weighted columns: their raw scales span ~10 decades
+        norms = np.linalg.norm(self.weights[:, None] * columns, axis=0)
+        norms[norms == 0.0] = 1.0
+        _, unit = _weighted_inversion(columns / norms, self.chi - self.chi_injected,
+                                      self.weights, 0.0, check_rank=False)
+        full[linear] = unit / norms
+        return full[_FREE[self.kind]]
 
 
-def _default_init(matrix: _ModelMatrix) -> np.ndarray:
-    """Heuristic start: white floor from the high-pulse-count tail, small c's."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        chi_meas = -np.log(np.clip(2.0 * matrix.measured - 1.0, 1e-12, None))
-    chi_excess = np.clip(chi_meas - matrix.chi_injected, 0.0, None)
-    order = np.argsort(matrix.n_pulses)
-    tail = order[-max(len(order) // 4, 2):]
-    s2 = float(np.median(chi_excess[tail] / matrix.g_total[tail]))
-    s2 = max(s2, 1e-12)
-    # Lorentzian scale from the lowest-pulse-count residuals
-    low = order[:2]
-    resid = np.clip(chi_excess[low] - s2 * matrix.g_total[low], 0.0, None)
-    grid_max = np.sqrt(matrix.omega_sq[-1])
-    wc = grid_max / 50.0
-    lor_response = matrix.gmat[low] @ (wc**2 / (wc**2 + matrix.omega_sq))
-    denom = float(np.dot(lor_response, lor_response))
-    amp = float(np.dot(resid, lor_response) / denom) if denom > 0 else 0.0
-    return np.array([max(amp, 1e-12), wc**2, s2, 1e-4, 1e-4])[_FREE[matrix.kind]]
+def _profiled_cutoff(matrix: _ModelMatrix):
+    """Variable projection over log cutoff_sq: the best point of a log grid over the
+    filters' band, refined by one bounded least-squares solve.  Returns the model vector
+    and the solver's result."""
+    band = np.log(matrix.omega_sq[[1, -1]])
+    solved = {}
 
+    def project(t) -> np.ndarray:
+        t = float(np.ravel(t)[0])
+        if t not in solved:
+            solved[t] = matrix.project(np.exp(t))
+        return solved[t]
 
-def _spread_starts(x0: np.ndarray, n_starts: int, seed: int) -> "list[np.ndarray]":
-    starts = [x0]
-    rng = as_lineage(seed).child(0).generator()
-    for _ in range(max(n_starts - 1, 0)):
-        factors = np.exp(rng.uniform(-2.0, 2.0, size=x0.size))
-        starts.append(np.clip(x0 * factors, 1e-15, None))
-    return starts
+    def residuals(t) -> np.ndarray:
+        return matrix.residuals(project(t))
+
+    def jacobian(t) -> np.ndarray:
+        # Kaufman's variable-projection Jacobian: the cutoff column at fixed linear
+        # entries, less its projection onto the columns of the NNLS's positive entries
+        x = project(t)
+        jac = matrix.jacobian(x)
+        column = jac[:, 1] * x[1]  # d / d log cutoff_sq
+        q, _ = np.linalg.qr(jac[:, [0, 2, 3, 4]][:, x[[0, 2, 3, 4]] > 0])
+        return (column - q @ (q.T @ column))[:, None]
+
+    grid = np.linspace(band[0], band[1], _GRID_POINTS)
+    start = min(grid, key=lambda t: np.sum(residuals(t) ** 2))
+    sol = least_squares(
+        residuals, [start], jac=jacobian, bounds=tuple(band),
+        method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=_MAX_NFEV,
+    )
+    return project(sol.x), sol
 
 
 def _fd_jacobian(matrix: _ModelMatrix, x: np.ndarray) -> np.ndarray:
@@ -217,16 +246,16 @@ def fit(
     injected: Optional[Spectrum] = None,
     kind: str = LORENTZIAN_PLUS_WHITE,
     mask: Sequence[int] = (),
-    n_starts: int = 8,
-    seed: int = 0,
-    max_nfev: int = 2000,
 ) -> FitResult:
-    """Bounded trust-region least squares for the ancillary model parameters.
+    """Variable-projection fit of the ancillary model parameters.
 
     ``mask`` lists sequence labels excluded from the loss (e.g. isolated
-    native resonances).  Runs ``n_starts`` deterministic multi-starts (plus a
-    white-only warm start for the nested model) and keeps the lowest loss,
-    ties broken by start index.
+    native resonances).  At a fixed cutoff_sq the other entries come from one
+    weighted NNLS (``qns_recon._weighted_inversion``), so ``white_only`` is a
+    single solve.  ``lorentzian_plus_white`` takes the best cutoff_sq of a
+    fixed log grid over the filters' band and refines it with one bounded
+    ``least_squares`` on log cutoff_sq.  Its NNLS admits amplitude 0, the
+    white-only model, so its loss never exceeds the white-only loss.
     """
     if kind not in _PARAM_NAMES:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -239,89 +268,57 @@ def fit(
             f"got {len(used)}"
         )
     matrix = _ModelMatrix(used, filters, injected, kind)
-    x0 = np.clip(_default_init(matrix), 1e-15, None)
-    starts = _spread_starts(x0, n_starts, seed)
-    # parameter magnitudes span many decades (PSD levels vs squared angular
-    # cutoffs), so scale each variable by its start value
-    scales = [np.maximum(np.abs(start), 1e-12) for start in starts]
-    if kind == LORENTZIAN_PLUS_WHITE:
-        # warm start at the nested white-only solution so the richer model
-        # can never end up with a larger loss; its near-zero entries would
-        # shrink the trust region, so it is scaled by the data-derived start
-        white = fit(records, filters, injected, kind=WHITE_ONLY, mask=mask,
-                    n_starts=max(n_starts // 2, 1), seed=seed, max_nfev=max_nfev)
-        wvec = white.params.to_vector()
-        starts.append(np.array([1e-15, x0[1], wvec[0], wvec[1], wvec[2]]))
-        scales.append(np.maximum(np.abs(x0), 1e-12))
-    best = None
-    for start, x_scale in zip(starts, scales):
-        sol = least_squares(
-            matrix.residuals,
-            start,
-            jac=matrix.jacobian,
-            bounds=(0.0, np.inf),
-            method="trf",
-            x_scale=x_scale,
-            ftol=1e-14,
-            xtol=1e-14,
-            gtol=1e-14,
-            max_nfev=max_nfev,
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-    converged = best.status > 0
-    if not converged:
-        warnings.warn(
-            f"fit did not converge within {max_nfev} evaluations: {best.message}; "
-            f"returning best iterate",
-            FitConvergenceWarning,
-        )
-    jac_analytic = matrix.jacobian(best.x)
-    jac_fd = _fd_jacobian(matrix, best.x)
+    names = _PARAM_NAMES[kind]
+    if kind == WHITE_ONLY:
+        x = matrix.project(_PINNED[1])
+        converged, message, at_bound = True, "one NNLS solve", x <= 1e-12
+    else:
+        x, sol = _profiled_cutoff(matrix)
+        converged, message, at_bound = sol.status > 0, str(sol.message), x <= 1e-12
+        at_bound[1] = sol.active_mask[0] != 0  # cutoff_sq at an end of the band
+        if not converged:
+            warnings.warn(
+                f"fit did not converge within {_MAX_NFEV} evaluations: {message}; "
+                f"returning best iterate",
+                FitConvergenceWarning,
+            )
+    residuals = matrix.residuals(x)
+    loss = float(np.dot(residuals, residuals))
+    chi2_per_dof = loss / max(len(used) - len(matrix.saturated) - n_free, 1)
+    jac_analytic = matrix.jacobian(x)
+    jac_fd = _fd_jacobian(matrix, x)
     scale = max(np.abs(jac_fd).max(), 1e-300)
     jac_rel_err = float(np.abs(jac_analytic - jac_fd).max() / scale)
-    covariance, stderr = _gauss_newton_covariance(jac_analytic, best.fun, kind)
-    params = FitParams.from_vector(best.x, kind, mask_set)
-    names = _PARAM_NAMES[kind]
-    active = tuple(n for n, v in zip(names, best.x) if v <= 1e-12)
+    covariance, stderr = _gauss_newton_covariance(jac_analytic, chi2_per_dof)
+    params = FitParams.from_vector(x, kind, mask_set)
     # a parameter the records cannot pin down: its stderr is non-finite or exceeds its size
     unresolved = tuple(n for n, v, err in zip(names, params.to_vector(), stderr)
                        if not np.isfinite(err) or err > abs(v))
     return FitResult(
         params=params,
-        loss=float(np.dot(best.fun, best.fun)),
-        residuals=-best.fun,  # measured - model
+        loss=loss,
+        chi2_per_dof=chi2_per_dof,
+        residuals=matrix.measured - matrix.model(x),
         labels=matrix.labels,
+        saturated=matrix.saturated,
         covariance=covariance,
         param_stderr=stderr,
-        bounds_active=active,
+        bounds_active=tuple(n for n, b in zip(names, at_bound) if b),
         unresolved=unresolved,
         converged=converged,
-        message=str(best.message),
+        message=message,
         jacobian_rel_err=jac_rel_err,
-        n_starts=len(starts),
     )
 
 
-def _gauss_newton_covariance(jac: np.ndarray, residuals: np.ndarray, kind: str):
-    m, n = jac.shape
-    dof = max(m - n, 1)
-    sigma_sq = float(np.dot(residuals, residuals)) / dof
-    # column-normalize before judging identifiability: raw columns differ by
-    # many decades purely from parameter units
+def _gauss_newton_covariance(jac: np.ndarray, sigma_sq: float):
+    """Covariance scaled by the fit's chi^2 per degree of freedom; a parameter whose
+    column is exactly zero (cutoff_sq at amplitude 0) gets an infinite variance."""
+    # column-normalize before inverting: raw columns differ by many decades
+    # purely from parameter units
     norms = np.linalg.norm(jac, axis=0)
     scale = np.where(norms > 0, norms, 1.0)
     unit = jac / scale
-    singular = np.linalg.svd(unit, compute_uv=False)
-    if norms.min() == 0.0 or singular[-1] < 1e-7 * singular[0]:
-        _, _, vt = np.linalg.svd(unit)
-        flat = np.abs(vt[-1])
-        names = _PARAM_NAMES[kind]
-        worst = [names[i] for i in np.argsort(flat)[::-1][:2]]
-        warnings.warn(
-            f"Jacobian nearly singular; parameters {worst} are poorly identified",
-            FitConvergenceWarning,
-        )
     covariance = (np.linalg.pinv(unit.T @ unit) / np.outer(scale, scale)) * sigma_sq
-    stderr = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    return covariance, stderr
+    covariance[norms == 0.0, norms == 0.0] = np.inf
+    return covariance, np.sqrt(np.clip(np.diag(covariance), 0.0, None))

@@ -253,7 +253,7 @@ def _sdr_slot_phases(
     n_slots: int,
     gate_period: float,
     offsets: np.ndarray,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ) -> np.ndarray:
     """Per-shot trajectories at the model's own period, accumulated onto slots."""
     t_s = model.sample_period
@@ -328,9 +328,10 @@ def _run_sequence(
         rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
         offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
+        rng = root.child(k, 0, STREAM_INJECTED).generator() if model.drive_std else None
         phases = _sdr_slot_phases(
             model, rows, seq.total_time + mode.phase_update_period, seq.n_slots,
-            seq.gate_period, offsets, root.child(k, 0, STREAM_INJECTED).generator(),
+            seq.gate_period, offsets, rng,
         )
     else:
         phases = _model_phases(model, root, k, STREAM_INJECTED, rows, seq.n_slots)

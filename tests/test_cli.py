@@ -453,6 +453,33 @@ def test_cli_fit_flags_unresolved_parameters(pipeline):
     assert "white_floor" not in json.loads((white / "fit_report.json").read_text())["unresolved"]
 
 
+def test_cli_fit_report_without_finite_stderr(tmp_path):
+    # the README pipeline's records at seed 7: the Lorentzian amplitude lands at exactly 0,
+    # so cutoff_sq has no finite stderr; fit_report.json holds null, which report reads back
+    seqs = make_fttps(64, 128, T_G)
+    model = design_bandpass(1.0e6, 0.2e6, 1e-3, T_G)
+    records = run_experiment(seqs, model, mode=GateMode(200, 1000), seed=7)
+    write_records_csv(tmp_path / "records.csv", records)
+    write_sequences_json(tmp_path / "sequences.json", seqs)
+    write_spectrum_csv(tmp_path / "psd.csv", psd(model))
+    fit_cfg = {"schema_version": 1, "records": str(tmp_path / "records.csv"),
+               "sequences": str(tmp_path / "sequences.json"),
+               "injected_spectrum": str(tmp_path / "psd.csv")}
+    out = tmp_path / "out"
+    assert main(["fit", "--config", write_json(tmp_path / "fit.json", fit_cfg),
+                 "--out-dir", str(out)]) == 0
+    report = json.loads((out / "fit_report.json").read_text())
+    assert report["params"]["amplitude"] == 0.0
+    assert report["param_stderr"][1] is None
+    assert "cutoff_sq" in report["unresolved"]
+    assert report["saturated"] == []
+    assert report["chi2_per_dof"] == pytest.approx(report["loss"] / (64 - 5))
+    report_cfg = {"schema_version": 1, "records": str(tmp_path / "records.csv"),
+                  "fit_report": str(out / "fit_report.json")}
+    assert main(["report", "--config", write_json(tmp_path / "report.json", report_cfg),
+                 "--out-dir", str(out)]) == 0
+
+
 def test_cli_export_circuits(tmp_path):
     cfg = write_json(
         tmp_path / "export.json",
@@ -746,7 +773,7 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, confi
         ("reconstruct", "bootstrap_quantiles", [0.1, 1.5]),
         ("reconstruct", "bootstrap_quantiles", [0.9, 0.1]),
         ("reconstruct", "bootstrap_quantiles", [0.5, 0.5]),
-        ("fit", "n_starts", 0),
+        ("reconstruct", "bootstrap_resamples", -5),
         ("fit", "model_kind", "pink"),
         ("fit", "mask", ["a"]),
         ("fit", "mask", [1.5]),
@@ -754,7 +781,7 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, confi
         ("fit", "mask", [99]),
         ("fit", "mask", [0, 1, 2]),
     ],
-    ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "zero-starts",
+    ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "negative-resamples",
          "unknown-kind", "text-mask", "float-mask", "bool-mask", "unknown-mask",
          "mask-leaves-too-few"],
 )
@@ -768,9 +795,10 @@ def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
     write_raw_survivals_csv(tmp_path / "raw.csv", records)
     write_sequences_json(tmp_path / "seqs.json", seqs)
     cfg = {"schema_version": 1, "records": str(tmp_path / "records.csv"),
-           "sequences": str(tmp_path / "seqs.json"), key: value}
+           "sequences": str(tmp_path / "seqs.json")}
     if command == "reconstruct":
         cfg.update(bootstrap_resamples=5, raw_survivals=str(tmp_path / "raw.csv"))
+    cfg[key] = value
     argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
             "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -788,10 +816,21 @@ def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
         ("simulate", "phase_update_period_s", 0.0),
         ("simulate", "phase_update_period_s", -1e-7),
         ("export-circuits", "trajectories", 0),
+        ("simulate", "n_sequences", 0),
+        ("simulate", "n_slots", 1),
+        ("simulate", "gate_period_s", 0.0),
+        ("simulate", "gate_period_s", -1e-7),
+        ("simulate", "jitter_std_rad", -1.0),
+        ("export-circuits", "n_sequences", 0),
+        ("export-circuits", "n_slots", 1),
+        ("export-circuits", "gate_period_s", 0.0),
+        ("design", "sample_period_s", 0.0),
     ],
     ids=["simulate-target-state", "export-target-state", "zero-trajectories", "zero-shots-each",
          "zero-sdr-shots", "zero-update-period", "negative-update-period",
-         "export-zero-trajectories"],
+         "export-zero-trajectories", "zero-sequences", "slots-below-sequences",
+         "zero-gate-period", "negative-gate-period", "negative-jitter", "export-zero-sequences",
+         "export-slots-below-sequences", "export-zero-gate-period", "design-zero-sample-period"],
 )
 def test_cli_bad_simulation_setting_exit_code(tmp_path, capsys, command, key, value):
     model = tmp_path / "model.json"
@@ -801,6 +840,9 @@ def test_cli_bad_simulation_setting_exit_code(tmp_path, capsys, command, key, va
         "schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
         "gate_period_s": T_G, "model": str(model), "mode": "sdr" if sdr else "gate",
         "trajectories": 2, "shots_per_trajectory": 10, "shots": 10, "phase_update_period_s": T_G,
+        # design's keys, for its rows
+        "kind": "bandpass", "center_hz": 1.0e6, "bandwidth_hz": 0.2e6, "power_rad2": 1e-3,
+        "sample_period_s": T_G,
         key: value,
     }
     argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),

@@ -305,6 +305,23 @@ def test_gate_run_builds_no_per_trajectory_generator(monkeypatch):
     assert built == []
 
 
+def test_sdr_run_builds_no_generator_for_silent_model(monkeypatch):
+    # a silent injected model draws nothing, so SDR mode builds only each sequence's
+    # measurement generator
+    built = []
+    generator = SeedLineage.generator
+
+    def counted(self):
+        built.append(self.path)
+        return generator(self)
+
+    monkeypatch.setattr(SeedLineage, "generator", counted)
+    silent = ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=T_G)
+    run_experiment(make_fttps(4, N, T_G), silent,
+                   mode=SdrMode(shots=20, phase_update_period=T_G), seed=5)
+    assert sorted(built) == [(k, 0, STREAM_MEASUREMENT) for k in range(4)]
+
+
 def test_gate_mode_survival_clipped_to_unit_interval():
     # this sequence's propagated survival overshoots 1 by about 1e-15 on one
     # trajectory; unclipped, Generator.binomial rejects it
