@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -43,54 +44,39 @@ def _load_config(path: str) -> dict:
 
 
 _MISSING = object()
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
 
 
-def _get(config: dict, key: str, kind, default=_MISSING):
+def _get(config: dict, key: str, kind, default=_MISSING, *,
+         above=None, at_least=None, below=None, choices=None):
+    """``config[key]`` as ``kind``, inside its domain: bounds or allowed values.
+
+    A key that has a default gives it when missing or null.
+    """
+    if config.get(key) is None and default is not _MISSING:
+        return default
     if key not in config:
-        if default is _MISSING:
-            raise ConfigError(f"key '{key}': required but missing")
-        return default
+        raise ConfigError(f"key '{key}': required but missing")
     value = config[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is bool and isinstance(value, bool):
-        return value
-    if kind is str and isinstance(value, str):
-        return value
-    if kind is list and isinstance(value, list):
-        return value
-    if value is None and default is not _MISSING:
-        return default
-    raise ConfigError(f"key '{key}': expected {kind.__name__}, got {value!r}")
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"key '{key}': expected {kind.__name__}, got {value!r}")
+    bounds = [(op, bound) for op, bound in ((">", above), (">=", at_least), ("<", below))
+              if bound is not None]
+    if not all(_COMPARE[op](value, bound) for op, bound in bounds):
+        domain = " and ".join(f"{op} {bound}" for op, bound in bounds)
+        raise ConfigError(f"key '{key}': expected a number {domain}, got {value!r}")
+    if choices is not None and value not in choices:
+        allowed = ", ".join(map(str, choices[:-1])) + f" or {choices[-1]}"
+        raise ConfigError(f"key '{key}': expected {allowed}, got {value!r}")
+    return value
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _positive(config: dict, key: str, kind, default=_MISSING):
-    value = _get(config, key, kind, default)
-    if not value > 0:
-        raise ConfigError(f"key '{key}': expected a number > 0, got {value!r}")
-    return value
-
-
-def _at_least(config: dict, key: str, kind, low, default=_MISSING):
-    value = _get(config, key, kind, default)
-    if not value >= low:
-        raise ConfigError(f"key '{key}': expected a number >= {low}, got {value!r}")
-    return value
-
-
-def _target_state(config: dict) -> int:
-    target = _get(config, "target_state", int, 1)
-    if target not in (0, 1):
-        raise ConfigError(f"key 'target_state': expected 0 or 1, got {target!r}")
-    return target
 
 
 def _seed(config: dict, args) -> int:
@@ -104,48 +90,51 @@ def _seed(config: dict, args) -> int:
 
 def cmd_design(config: dict, args) -> None:
     out = _out_dir(args)
-    kind = _get(config, "kind", str)
-    t_s = _positive(config, "sample_period_s", float)
-    taps = _get(config, "taps", int, noise_models.DEFAULT_TAPS)
-    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE)
+    kind = _get(config, "kind", str, choices=("bandpass", "multiband", "power_law", "lorentzian"))
+    t_s = _get(config, "sample_period_s", float, above=0)
+    taps = _get(config, "taps", int, noise_models.DEFAULT_TAPS, at_least=3)
+    if taps % 2 == 0:
+        raise ConfigError(f"key 'taps': expected an odd number, got {taps}")
+    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
     if kind == "bandpass":
         model = noise_models.design_bandpass(
             _get(config, "center_hz", float),
-            _get(config, "bandwidth_hz", float),
-            _get(config, "power_rad2", float),
+            _get(config, "bandwidth_hz", float, above=0),
+            _get(config, "power_rad2", float, at_least=0),
             t_s,
             taps=taps,
         )
     elif kind == "multiband":
+        bands = _get(config, "bands", list)
+        if not bands or not all(isinstance(band, dict) for band in bands):
+            raise ConfigError(f"key 'bands': expected a non-empty list of objects, got {bands!r}")
         bands = [
             (
                 _get(band, "center_hz", float),
-                _get(band, "width_hz", float),
-                _get(band, "power_rad2", float),
+                _get(band, "width_hz", float, above=0),
+                _get(band, "power_rad2", float, at_least=0),
             )
-            for band in _get(config, "bands", list)
+            for band in bands
         ]
         model = noise_models.design_multiband(bands, t_s, taps=taps)
     elif kind == "power_law":
         model = noise_models.design_power_law(
             _get(config, "alpha", float),
-            (_get(config, "anchor_freq_hz", float), _get(config, "anchor_psd", float)),
+            (
+                _get(config, "anchor_freq_hz", float, above=0),
+                _get(config, "anchor_psd", float, at_least=0),
+            ),
             (_get(config, "band_lo_hz", float), _get(config, "band_hi_hz", float)),
             t_s,
             taps=taps,
         )
-    elif kind == "lorentzian":
+    else:
         model = noise_models.design_lorentzian(
-            _get(config, "amplitude", float),
-            _get(config, "cutoff_rad_per_s", float),
-            _get(config, "white_floor", float),
+            _get(config, "amplitude", float, at_least=0),
+            _get(config, "cutoff_rad_per_s", float, above=0),
+            _get(config, "white_floor", float, at_least=0),
             t_s,
             taps=taps,
-        )
-    else:
-        raise ConfigError(
-            f"key 'kind': unknown design kind {kind!r} "
-            f"(expected bandpass, multiband, power_law or lorentzian)"
         )
     name = _get(config, "name", str, "model")
     serialize.write_model_json(out / f"{name}.json", model)
@@ -156,32 +145,27 @@ def cmd_design(config: dict, args) -> None:
 # -- simulate -------------------------------------------------------------------
 
 def _sequences_from_config(config: dict) -> "list[sequences.PulseSequence]":
-    family = _get(config, "family", str)
-    if family not in ("fttps", "rfttps"):
-        raise ConfigError(f"key 'family': expected fttps or rfttps, got {family!r}")
+    family = _get(config, "family", str, choices=("fttps", "rfttps"))
     maker = sequences.make_fttps if family == "fttps" else sequences.make_rfttps
-    n_sequences = _positive(config, "n_sequences", int)
+    n_sequences = _get(config, "n_sequences", int, above=0)
     return maker(
         n_sequences,
-        _at_least(config, "n_slots", int, n_sequences),
-        _positive(config, "gate_period_s", float),
+        _get(config, "n_slots", int, at_least=n_sequences),
+        _get(config, "gate_period_s", float, above=0),
     )
 
 
 def _mode_from_config(config: dict):
-    mode = _get(config, "mode", str)
-    if mode == "gate":
+    if _get(config, "mode", str, choices=("gate", "sdr")) == "gate":
         return qubit_sim.GateMode(
-            trajectories=_positive(config, "trajectories", int),
-            shots_per_trajectory=_positive(config, "shots_per_trajectory", int),
+            trajectories=_get(config, "trajectories", int, above=0),
+            shots_per_trajectory=_get(config, "shots_per_trajectory", int, above=0),
         )
-    if mode == "sdr":
-        return qubit_sim.SdrMode(
-            shots=_positive(config, "shots", int),
-            phase_update_period=_positive(config, "phase_update_period_s", float),
-            random_time_offset=_get(config, "random_time_offset", bool, True),
-        )
-    raise ConfigError(f"key 'mode': expected gate or sdr, got {mode!r}")
+    return qubit_sim.SdrMode(
+        shots=_get(config, "shots", int, above=0),
+        phase_update_period=_get(config, "phase_update_period_s", float, above=0),
+        random_time_offset=_get(config, "random_time_offset", bool, True),
+    )
 
 
 def cmd_simulate(config: dict, args) -> None:
@@ -192,7 +176,7 @@ def cmd_simulate(config: dict, args) -> None:
     native = serialize.read_model_json(native_path) if native_path else None
     perr = qubit_sim.PulseErrorModel(
         over_rotation=_get(config, "over_rotation_rad", float, 0.0),
-        jitter_std=_at_least(config, "jitter_std_rad", float, 0.0, 0.0),
+        jitter_std=_get(config, "jitter_std_rad", float, 0.0, at_least=0),
     )
     keep_raw = _get(config, "keep_raw", bool, False)
     records = qubit_sim.run_experiment(
@@ -202,7 +186,7 @@ def cmd_simulate(config: dict, args) -> None:
         pulse_errors=perr,
         mode=_mode_from_config(config),
         seed=_seed(config, args),
-        target_state=_target_state(config),
+        target_state=_get(config, "target_state", int, 1, choices=(0, 1)),
         keep_raw=keep_raw,
     )
     serialize.write_records_csv(out / "records.csv", records)
@@ -241,6 +225,11 @@ def _bootstrap_quantiles(config: dict) -> "tuple[float, float]":
     return float(quantiles[0]), float(quantiles[1])
 
 
+def _saturation_floor(config: dict) -> float:
+    return _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR,
+                above=0, below=0.5)
+
+
 def cmd_reconstruct(config: dict, args) -> None:
     out = _out_dir(args)
     records, seqs = _records_and_sequences(config)
@@ -248,12 +237,12 @@ def cmd_reconstruct(config: dict, args) -> None:
     if native_path:
         native_records = serialize.read_records_csv(native_path, impute_stderr=True)
         serialize.check_records_match_sequences(native_path, native_records, seqs)
-    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE)
+    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
     filters = _filters_for(seqs, grid_size)
-    floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
-    ridge = _get(config, "ridge", float, 0.0)
-    bins = _get(config, "bins", int, None)
-    resamples = _at_least(config, "bootstrap_resamples", int, 0, 0)
+    floor = _saturation_floor(config)
+    ridge = _get(config, "ridge", float, 0.0, at_least=0)
+    bins = _get(config, "bins", int, None, at_least=1)
+    resamples = _get(config, "bootstrap_resamples", int, 0, at_least=0)
     band = None
     if resamples > 0:
         quantiles = _bootstrap_quantiles(config)
@@ -303,7 +292,7 @@ def cmd_reconstruct(config: dict, args) -> None:
 def cmd_fit(config: dict, args) -> None:
     out = _out_dir(args)
     records, seqs = _records_and_sequences(config)
-    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE)
+    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=3)
     filters = _filters_for(seqs, grid_size)
     injected_path = _get(config, "injected_spectrum", str, None)
     injected = None
@@ -314,11 +303,8 @@ def cmd_fit(config: dict, args) -> None:
                 f"{injected_path}: spectrum grid of {injected.freqs.size} points does not "
                 f"match the filters' grid of {filters[0].freqs.size} points (grid_size)"
             )
-    kind = _get(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE)
-    if kind not in predictor._PARAM_NAMES:
-        raise ConfigError(
-            f"key 'model_kind': expected one of {sorted(predictor._PARAM_NAMES)}, got {kind!r}"
-        )
+    kind = _get(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE,
+                choices=tuple(predictor._PARAM_NAMES))
     mask = _get(config, "mask", list, [])
     labels = {r.label for r in records}
     for k in mask:
@@ -362,8 +348,8 @@ def cmd_export_circuits(config: dict, args) -> None:
     out = _out_dir(args)
     seqs = _sequences_from_config(config)
     model = serialize.read_model_json(_get(config, "model", str))
-    n_traj = _positive(config, "trajectories", int)
-    target = _target_state(config)
+    n_traj = _get(config, "trajectories", int, above=0)
+    target = _get(config, "target_state", int, 1, choices=(0, 1))
     prefix = _get(config, "prefix", str, "circuit")
     seed = _seed(config, args)
     count = 0
@@ -388,7 +374,7 @@ def cmd_ingest(config: dict, args) -> None:
     if seq_path:
         seqs = serialize.read_sequences_json(seq_path)
         serialize.check_records_match_sequences(records_path, records, seqs)
-    floor = _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR)
+    floor = _saturation_floor(config)
     flags = [int(qns_recon.decay_from_survival(r.survival_mean, floor).saturated) for r in records]
     rows = [serialize.record_row(r) + (flag,) for r, flag in zip(records, flags)]
     header = serialize.RECORD_FIELDS + ("saturated",)
@@ -463,7 +449,8 @@ def main(argv=None) -> int:
     except (ConfigError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (UnstableModelError, RankDeficientError, ValueError, np.linalg.LinAlgError) as exc:
+    except (UnstableModelError, RankDeficientError, ValueError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -111,24 +111,24 @@ def _propagate(
         raise ValueError("phase array does not match sequence slot count")
     psi0 = np.full(n_traj, _INV_SQRT2, dtype=complex)
     psi1 = np.full(n_traj, -1j * _INV_SQRT2, dtype=complex)
-    ez = np.exp(-0.5j * phases)
-    pulse_at = dict(zip(seq.pulse_slots, range(seq.n_pulses)))
-    signs = seq.pulse_signs
-    for j in range(1, n_slots + 1):
-        rot = ez[:, j - 1]
-        psi0 = psi0 * rot
-        psi1 = psi1 * np.conj(rot)
-        idx = pulse_at.get(j)
-        if idx is not None:
-            angle = signs[idx] * (np.pi + over_rotation + jitter[:, idx])
-            c = np.cos(0.5 * angle)
-            s = np.sin(0.5 * angle)
-            # a perfect pi rotation is exactly -+iX; cos(pi/2) in floats is
-            # ~6e-17, so snap it to keep ideal pulses exact
-            exact = np.abs(angle) == np.pi
-            if exact.any():
-                c = np.where(exact, 0.0, c)
-            psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
+    # z-rotations commute, so each inter-pulse segment is one rotation by its summed
+    # phase; the zero column closes the last segment when a pulse sits in the last slot
+    padded = np.concatenate([phases, np.zeros((n_traj, 1))], axis=1)
+    ez = np.exp(-0.5j * np.add.reduceat(padded, (0,) + seq.pulse_slots, axis=1))
+    for idx, sign in enumerate(seq.pulse_signs):
+        psi0 = psi0 * ez[:, idx]
+        psi1 = psi1 * np.conj(ez[:, idx])
+        angle = sign * (np.pi + over_rotation + jitter[:, idx])
+        c = np.cos(0.5 * angle)
+        s = np.sin(0.5 * angle)
+        # a perfect pi rotation is exactly -+iX; cos(pi/2) in floats is
+        # ~6e-17, so snap it to keep ideal pulses exact
+        exact = np.abs(angle) == np.pi
+        if exact.any():
+            c = np.where(exact, 0.0, c)
+        psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
+    psi0 = psi0 * ez[:, -1]
+    psi1 = psi1 * np.conj(ez[:, -1])
     half = seq.closing_sign(target_state) * np.pi / 4.0
     c, s = np.cos(half), np.sin(half)
     psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -780,10 +781,18 @@ def test_cli_negative_seed_exit_code(tmp_path, capsys, command, flag_seed, confi
         ("fit", "mask", [True]),
         ("fit", "mask", [99]),
         ("fit", "mask", [0, 1, 2]),
+        ("reconstruct", "bins", 0),
+        ("reconstruct", "saturation_floor", 0.7),
+        ("reconstruct", "saturation_floor", 0.0),
+        ("reconstruct", "ridge", -1.0),
+        ("reconstruct", "grid_size", 1),
+        ("fit", "grid_size", 1),
+        ("fit", "grid_size", 2),
     ],
     ids=["one-quantile", "text-quantile", "above-one", "reversed", "equal", "negative-resamples",
          "unknown-kind", "text-mask", "float-mask", "bool-mask", "unknown-mask",
-         "mask-leaves-too-few"],
+         "mask-leaves-too-few", "zero-bins", "floor-above-half", "zero-floor", "negative-ridge",
+         "reconstruct-one-point-grid", "fit-one-point-grid", "fit-two-point-grid"],
 )
 def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
     seqs = make_fttps(8, 32, T_G)
@@ -825,12 +834,20 @@ def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
         ("export-circuits", "n_slots", 1),
         ("export-circuits", "gate_period_s", 0.0),
         ("design", "sample_period_s", 0.0),
+        ("design", "taps", 2),
+        ("design", "taps", 4),
+        ("design", "grid_size", 1),
+        ("design", "bandwidth_hz", -1.0),
+        ("design", "bandwidth_hz", 0.0),
+        ("design", "power_rad2", -1.0),
     ],
     ids=["simulate-target-state", "export-target-state", "zero-trajectories", "zero-shots-each",
          "zero-sdr-shots", "zero-update-period", "negative-update-period",
          "export-zero-trajectories", "zero-sequences", "slots-below-sequences",
          "zero-gate-period", "negative-gate-period", "negative-jitter", "export-zero-sequences",
-         "export-slots-below-sequences", "export-zero-gate-period", "design-zero-sample-period"],
+         "export-slots-below-sequences", "export-zero-gate-period", "design-zero-sample-period",
+         "design-two-taps", "design-even-taps", "design-one-point-grid",
+         "design-negative-bandwidth", "design-zero-bandwidth", "design-negative-power"],
 )
 def test_cli_bad_simulation_setting_exit_code(tmp_path, capsys, command, key, value):
     model = tmp_path / "model.json"
@@ -850,6 +867,156 @@ def test_cli_bad_simulation_setting_exit_code(tmp_path, capsys, command, key, va
     assert main(argv) == 2
     assert f"key '{key}'" in capsys.readouterr().err
     assert not list(tmp_path.glob("out/*"))
+
+
+@pytest.mark.parametrize(
+    "command, base, key, value",
+    [
+        ("design", "lorentzian", "amplitude", -1.0),
+        ("design", "lorentzian", "cutoff_rad_per_s", 0.0),
+        ("design", "lorentzian", "white_floor", -1.0),
+        ("design", "power_law", "anchor_freq_hz", 0.0),
+        ("design", "power_law", "anchor_psd", -1.0),
+        ("design", "multiband", "bands", []),
+        ("design", "multiband", "bands", [1.0]),
+        ("design", "multiband", "bands", ["x"]),
+        ("design", "multiband", "width_hz", -1.0),
+        ("design", "multiband", "power_rad2", -1.0),
+        ("ingest", "records", "saturation_floor", 0.7),
+        ("ingest", "records", "saturation_floor", 0.0),
+    ],
+    ids=["negative-amplitude", "zero-cutoff", "negative-white-floor", "zero-anchor-freq",
+         "negative-anchor-psd", "no-bands", "number-band", "text-band", "negative-band-width",
+         "negative-band-power", "ingest-floor-above-half", "ingest-zero-floor"],
+)
+def test_cli_bad_design_kind_or_ingest_setting_exit_code(tmp_path, capsys, command, base, key,
+                                                         value):
+    records = tmp_path / "records.csv"
+    records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    bases = {
+        "lorentzian": {"kind": "lorentzian", "amplitude": 1e-9, "cutoff_rad_per_s": 1e6,
+                       "white_floor": 1e-12},
+        "power_law": {"kind": "power_law", "alpha": 1.0, "anchor_freq_hz": 1e6,
+                      "anchor_psd": 1e-9, "band_lo_hz": 1e5, "band_hi_hz": 4e6},
+        "multiband": {"kind": "multiband",
+                      "bands": [{"center_hz": 1e6, "width_hz": 0.2e6, "power_rad2": 1e-3}]},
+        "records": {"records": str(records)},
+    }
+    cfg = {"schema_version": 1, "sample_period_s": T_G, **bases[base]}
+    # a multiband row other than 'bands' itself sets a key of the band entry
+    (cfg["bands"][0] if base == "multiband" and key != "bands" else cfg)[key] = value
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_configs(tmp_path_factory):
+    """Small README-style configs, one per command, each of which exits 0 as written.
+
+    ``simulate`` and ``export-circuits`` run 2 sequences of 16 slots. The records the
+    other commands read come from 8 such sequences, so ``fit`` has records to spare.
+    """
+    d = tmp_path_factory.mktemp("fuzz")
+    model = str(d / "model.json")
+    write_model_json(model, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G))
+    seqs = make_fttps(8, 16, T_G)
+    records = run_experiment(seqs, read_model_json(model), mode=GateMode(4, 20), seed=1,
+                             keep_raw=True)
+    write_records_csv(d / "records.csv", records)
+    write_raw_survivals_csv(d / "raw.csv", records)
+    write_sequences_json(d / "seqs.json", seqs)
+    write_spectrum_csv(d / "injected.csv", psd(read_model_json(model)))
+    run = {"records": str(d / "records.csv"), "sequences": str(d / "seqs.json")}
+    injection = {
+        "family": "fttps", "n_sequences": 2, "n_slots": 16, "gate_period_s": T_G,
+        "model": model, "seed": 11, "target_state": 1, "trajectories": 2,
+    }
+    configs = {
+        "design.bandpass": {"kind": "bandpass", "center_hz": 1.0e6, "bandwidth_hz": 0.2e6,
+                            "power_rad2": 1e-3},
+        "design.multiband": {"kind": "multiband", "bands": [
+            {"center_hz": 1.0e6, "width_hz": 0.2e6, "power_rad2": 1e-3}]},
+        "design.power_law": {"kind": "power_law", "alpha": 1.0, "anchor_freq_hz": 1e6,
+                             "anchor_psd": 1e-9, "band_lo_hz": 1e5, "band_hi_hz": 4e6},
+        "design.lorentzian": {"kind": "lorentzian", "amplitude": 1e-9, "cutoff_rad_per_s": 1e6,
+                              "white_floor": 1e-12},
+        "simulate.gate": dict(injection, mode="gate", shots_per_trajectory=10, keep_raw=True,
+                              native_model=model, over_rotation_rad=0.01, jitter_std_rad=0.01),
+        "simulate.sdr": dict(injection, mode="sdr", shots=10, phase_update_period_s=T_G,
+                             random_time_offset=True),
+        "reconstruct": dict(run, bootstrap_resamples=3, raw_survivals=str(d / "raw.csv"),
+                            bootstrap_quantiles=[0.025, 0.975], native_records=run["records"],
+                            grid_size=65, saturation_floor=0.02, ridge=0.0, bins=None, seed=2),
+        "fit": dict(run, injected_spectrum=str(d / "injected.csv"), grid_size=4097, mask=[7],
+                    model_kind="lorentzian_plus_white"),
+        "export-circuits": dict(injection, prefix="c"),
+        "ingest": dict(run, saturation_floor=0.02),
+        "report": {"records": run["records"],  # runs last, on the two runs above
+                   "reconstruction": str(d / "reconstruct" / "spectrum.csv"),
+                   "fit_report": str(d / "fit" / "fit_report.json")},
+    }
+    for name, cfg in configs.items():
+        if name.startswith("design"):
+            cfg.update(sample_period_s=T_G, taps=31, grid_size=65, name="m")
+        cfg["schema_version"] = 1
+        argv = [name.split(".")[0], "--config", write_json(d / f"{name}.json", cfg),
+                "--out-dir", str(d / name)]
+        assert main(argv) == 0 and len(cfg) <= N_KEYS, name
+    return d, configs
+
+
+# JSON scalars a config key may hold: bounded integers (no example can ask for a huge
+# allocation), finite floats out to +-1e300, bools, short strings without a path separator,
+# null and short lists
+JSON_SCALARS = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.booleans(),
+    st.sampled_from(["gate", "sdr", "fttps", "rfttps", "white_only", "bandpass"]),
+    st.text(alphabet="ab.-_", max_size=3),
+    st.none(),
+    st.lists(st.one_of(st.integers(min_value=-3, max_value=40),
+                       st.floats(min_value=-2.0, max_value=2.0), st.booleans(), st.none(),
+                       st.dictionaries(st.sampled_from(["center_hz", "width_hz"]),
+                                       st.floats(min_value=-1e7, max_value=1e7), max_size=2)),
+             max_size=3),
+)
+N_KEYS = 16  # the most keys a fuzzed config holds
+
+
+def _each_edge_value_in_every_key(test):
+    for value in (0, -1, 40, 0.0, -1.0, 0.5, 1e300, -1e300, True, "", None, [], [1.0]):
+        test = example(values=[value] * N_KEYS)(test)
+    return test
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["design.bandpass", "design.multiband", "design.power_law", "design.lorentzian",
+     "simulate.gate", "simulate.sdr", "reconstruct", "fit", "export-circuits", "ingest",
+     "report"],
+)
+@settings(derandomize=True, max_examples=5, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@_each_edge_value_in_every_key
+@given(values=st.lists(JSON_SCALARS, min_size=N_KEYS, max_size=N_KEYS))
+def test_cli_any_config_value_exits_0_2_or_3(fuzz_configs, name, values):
+    # a JSON scalar in any one key of a working config is run, refused as a config
+    # error (2) or refused as a numerical failure (3); an uncaught exception fails the test
+    d, configs = fuzz_configs
+    for key, value in zip(sorted(configs[name]), values):
+        if name == "simulate.sdr" and key == "gate_period_s":
+            # SDR draws n_slots * gate_period / phase_update_period normals a shot, with no
+            # bound on the ratio
+            continue
+        cfg = dict(configs[name], **{key: value})
+        with tempfile.TemporaryDirectory(dir=d) as out:
+            argv = [name.split(".")[0], "--config", write_json(Path(out) / "cfg.json", cfg),
+                    "--out-dir", out]
+            assert main(argv) in (0, 2, 3), (key, value)
 
 
 def test_cli_full_pipeline_byte_reproducible(pipeline, tmp_path):

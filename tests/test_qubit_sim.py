@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dephasekit.noise_models import (
     ArmaModel,
@@ -17,13 +19,14 @@ from dephasekit.qubit_sim import (
     GateMode,
     PulseErrorModel,
     SdrMode,
+    _propagate,
     _sdr_slot_phases,
     analytic_survival,
     run_experiment,
     run_shot,
 )
 from dephasekit.seeds import STREAM_INJECTED, STREAM_MEASUREMENT, SeedLineage
-from dephasekit.sequences import make_fttps, make_rfttps, switching_function
+from dephasekit.sequences import PulseSequence, make_fttps, make_rfttps, switching_function
 from dephasekit.serialize import records_to_csv_text
 
 T_G = 100e-9
@@ -85,6 +88,53 @@ def test_run_shot_native_addition():
         seq, Trajectory(a, T_G, SeedLineage(0)), native=Trajectory(b, T_G, SeedLineage(0))
     )
     assert split == pytest.approx(combined, abs=1e-12)
+
+
+def _slot_by_slot_propagate(phases, seq, over_rotation, jitter, target_state):
+    """Reference propagation: one z-rotation per slot, then that slot's pulse, if any."""
+    psi0 = np.full(phases.shape[0], 1 / np.sqrt(2), dtype=complex)
+    psi1 = -1j * psi0
+    pulse_at = dict(zip(seq.pulse_slots, range(seq.n_pulses)))
+    for j in range(1, seq.n_slots + 1):
+        rot = np.exp(-0.5j * phases[:, j - 1])
+        psi0, psi1 = psi0 * rot, psi1 * np.conj(rot)
+        if j in pulse_at:
+            idx = pulse_at[j]
+            half = 0.5 * seq.pulse_signs[idx] * (np.pi + over_rotation + jitter[:, idx])
+            c, s = np.cos(half), np.sin(half)
+            psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
+    half = seq.closing_sign(target_state) * np.pi / 4.0
+    c, s = np.cos(half), np.sin(half)
+    psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
+    return np.abs(psi1 if target_state == 1 else psi0) ** 2
+
+
+@st.composite
+def propagation_case(draw):
+    n_slots = draw(st.integers(min_value=1, max_value=40))
+    slots = sorted(draw(st.sets(st.integers(min_value=1, max_value=n_slots), max_size=n_slots)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(slots), max_size=len(slots)))
+    rows = draw(st.integers(min_value=1, max_value=4))
+    angles = st.floats(min_value=-4.0, max_value=4.0)
+    phases = np.array(draw(st.lists(angles, min_size=rows * n_slots, max_size=rows * n_slots)))
+    jitter = np.array(draw(st.lists(angles, min_size=rows * len(slots),
+                                    max_size=rows * len(slots))))
+    seq = PulseSequence(n_slots, tuple(slots), tuple(signs), T_G)
+    return (phases.reshape(rows, n_slots), seq, draw(st.sampled_from([0.0, 0.05, -0.3])),
+            0.1 * jitter.reshape(rows, len(slots)), draw(st.sampled_from([0, 1])))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(case=propagation_case())
+@example(case=(np.full((2, 3), 0.4), PulseSequence(3, (1, 3), (1, -1), T_G), 0.05,
+               np.zeros((2, 2)), 1))  # pulses in the first and the last slot
+@example(case=(np.full((1, 4), 0.7), PulseSequence(4, (), (), T_G), 0.0, np.zeros((1, 0)), 0))
+def test_segment_propagation_matches_slot_by_slot(case):
+    # z-rotations commute: summing each inter-pulse segment's phases changes no survival
+    phases, seq, over_rotation, jitter, target_state = case
+    got = _propagate(phases, seq, over_rotation, jitter, target_state)
+    want = _slot_by_slot_propagate(phases, seq, over_rotation, jitter, target_state)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 def test_run_shot_rejects_short_trajectory():
