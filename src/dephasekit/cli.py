@@ -137,6 +137,8 @@ def cmd_design(config: dict, args) -> None:
             taps=taps,
         )
     name = _get(config, "name", str, "model")
+    if not name or "/" in name or "\\" in name:
+        raise ConfigError(f"key 'name': expected a non-empty name with no / or \\, got {name!r}")
     serialize.write_model_json(out / f"{name}.json", model)
     serialize.write_spectrum_csv(out / f"{name}_psd.csv", noise_models.psd(model, grid_size))
     print(f"wrote {out / (name + '.json')} and {out / (name + '_psd.csv')}")
@@ -351,6 +353,8 @@ def cmd_export_circuits(config: dict, args) -> None:
     n_traj = _get(config, "trajectories", int, above=0)
     target = _get(config, "target_state", int, 1, choices=(0, 1))
     prefix = _get(config, "prefix", str, "circuit")
+    if not prefix or "/" in prefix or "\\" in prefix:
+        raise ConfigError(f"key 'prefix': expected a non-empty name with no / or \\, got {prefix!r}")
     seed = _seed(config, args)
     count = 0
     for seq in seqs:

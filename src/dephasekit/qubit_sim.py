@@ -34,6 +34,8 @@ from .seeds import (
 from .sequences import PulseSequence, chi_time_domain
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# largest SDR injected block, in normals: 128 MiB of float64
+_MAX_SDR_NORMALS = 2**24
 
 
 @dataclass(frozen=True)
@@ -246,21 +248,16 @@ def _injected_gate_phases(
     return _model_phases(model, root, seq.label, STREAM_INJECTED, trajectories, seq.n_slots)
 
 
+def _sdr_steps(seq: PulseSequence, model: ArmaModel, mode: SdrMode) -> int:
+    """Update steps of one SDR shot: the sequence, one update period of offset and two spare."""
+    return int(np.ceil((seq.total_time + mode.phase_update_period) / model.sample_period)) + 2
+
+
 def _sdr_slot_phases(
-    model: ArmaModel,
-    n_shots: int,
-    seq_time: float,
-    n_slots: int,
-    gate_period: float,
-    offsets: np.ndarray,
-    rng: Optional[np.random.Generator],
+    phases: np.ndarray, t_s: float, n_slots: int, gate_period: float, offsets: np.ndarray
 ) -> np.ndarray:
-    """Per-shot trajectories at the model's own period, accumulated onto slots."""
-    t_s = model.sample_period
-    n_steps = int(np.ceil(seq_time / t_s)) + 2
-    if model.drive_std == 0.0:
-        return np.zeros((n_shots, n_slots))
-    phases = _synthesize_phases(model, rng.standard_normal((n_shots, model.burn_in + n_steps)))
+    """Per-shot phases at update period ``t_s`` (rows of ``phases``), accumulated onto slots."""
+    n_shots, n_steps = phases.shape
     cum = np.concatenate([np.zeros((n_shots, 1)), np.cumsum(phases, axis=1)], axis=1)
     # piecewise-linear cumulative phase, sampled at slot boundaries
     bounds = offsets[:, None] + gate_period * np.arange(n_slots + 1)[None, :]
@@ -305,6 +302,10 @@ def run_experiment(
     elif isinstance(mode, SdrMode):
         _check_gate_aligned(model, mode.phase_update_period, "injected",
                             "the SDR phase_update_period")
+        block = mode.shots * (model.burn_in + max(_sdr_steps(s, model, mode) for s in sequences))
+        if block > _MAX_SDR_NORMALS:
+            raise ValueError(f"phase_update_period {mode.phase_update_period!r} needs an SDR "
+                             f"block of {block} normals, above {_MAX_SDR_NORMALS}")
     else:
         raise ValueError(f"unsupported mode {mode!r}")
     return [_run_sequence(s, model, native_model, perr, mode, root, target_state, keep_raw)
@@ -328,10 +329,9 @@ def _run_sequence(
         rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
         offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
-        rng = root.child(k, 0, STREAM_INJECTED).generator() if model.drive_std else None
         phases = _sdr_slot_phases(
-            model, rows, seq.total_time + mode.phase_update_period, seq.n_slots,
-            seq.gate_period, offsets, rng,
+            _model_phases(model, root, k, STREAM_INJECTED, rows, _sdr_steps(seq, model, mode), sdr),
+            model.sample_period, seq.n_slots, seq.gate_period, offsets,
         )
     else:
         phases = _model_phases(model, root, k, STREAM_INJECTED, rows, seq.n_slots)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Stream ids appended as the last path element by the simulator.
 STREAM_INJECTED = 0
@@ -20,15 +21,12 @@ STREAM_NATIVE = 1
 STREAM_PULSE_JITTER = 2
 STREAM_MEASUREMENT = 3
 
-# numpy's SeedSequence hashing constants (NEP 19) and PCG64's 128-bit LCG
-# multiplier (O'Neill 2014); numpy keeps both stable across releases.
+# numpy's SeedSequence hashing constants (NEP 19), stable across releases.
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -63,6 +61,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
+class _RowState(ISeedSequence):
+    """One row's ``generate_state(4, uint64)`` words, handed to numpy's PCG64 seeding."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 @dataclass(frozen=True)
 class SeedLineage:
     """Root seed plus the derivation path that produced a stream."""
@@ -84,9 +92,8 @@ class SeedLineage:
         ``self.child(r, *suffix).generator()``.
 
         SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run over
-        all rows at once on uint32 arrays; PCG64's two-step seeding then runs
-        per row in 128-bit integers.  One Generator is reused for every row, so
-        draw from ``rng`` before advancing the iterator.
+        all rows at once on uint32 arrays; numpy's PCG64 then seeds each row's
+        own Generator from its four words.
         """
         run = _uint32_words(int(self.root))
         # a spawn key is present, so SeedSequence zero-pads the root to the pool size
@@ -107,20 +114,9 @@ class SeedLineage:
                 pool[dst] = _mix(pool[dst], _hash(word, keys))
         keys = _hash_keys(_INIT_B, _MULT_B)
         state = np.stack([_hash(pool[i % _POOL_SIZE], keys) for i in range(8)], axis=1)
-        seeds = state.astype("<u4").view("<u8").tolist()
-
-        rng = np.random.Generator(np.random.PCG64(0))
-        bit_gen = rng.bit_generator
-        for r, (s_hi, s_lo, i_hi, i_lo) in enumerate(seeds):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            pcg_state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            bit_gen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": pcg_state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            yield r, rng
+        # as SeedSequence does: little-endian word pairs, then native byte order
+        for r, words in enumerate(state.astype("<u4").view("<u8").astype(np.uint64)):
+            yield r, np.random.Generator(np.random.PCG64(_RowState(words)))
 
 
 def as_lineage(seed: "int | SeedLineage") -> SeedLineage:

@@ -840,6 +840,13 @@ def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
         ("design", "bandwidth_hz", -1.0),
         ("design", "bandwidth_hz", 0.0),
         ("design", "power_rad2", -1.0),
+        ("design", "name", ""),
+        ("design", "name", "a/b"),
+        ("design", "name", "../escaped"),
+        ("design", "name", "a\\b"),
+        ("export-circuits", "prefix", ""),
+        ("export-circuits", "prefix", "../escaped"),
+        ("export-circuits", "prefix", "a\\b"),
     ],
     ids=["simulate-target-state", "export-target-state", "zero-trajectories", "zero-shots-each",
          "zero-sdr-shots", "zero-update-period", "negative-update-period",
@@ -847,7 +854,10 @@ def test_cli_bad_setting_exit_code(tmp_path, capsys, command, key, value):
          "zero-gate-period", "negative-gate-period", "negative-jitter", "export-zero-sequences",
          "export-slots-below-sequences", "export-zero-gate-period", "design-zero-sample-period",
          "design-two-taps", "design-even-taps", "design-one-point-grid",
-         "design-negative-bandwidth", "design-zero-bandwidth", "design-negative-power"],
+         "design-negative-bandwidth", "design-zero-bandwidth", "design-negative-power",
+         "design-empty-name", "design-name-in-subdir", "design-name-above-out-dir",
+         "design-name-with-backslash", "export-empty-prefix", "export-prefix-above-out-dir",
+         "export-prefix-with-backslash"],
 )
 def test_cli_bad_simulation_setting_exit_code(tmp_path, capsys, command, key, value):
     model = tmp_path / "model.json"
@@ -912,6 +922,40 @@ def test_cli_bad_design_kind_or_ingest_setting_exit_code(tmp_path, capsys, comma
     assert not list(tmp_path.glob("out/*"))
 
 
+@pytest.mark.parametrize("command, key", [("design", "name"), ("export-circuits", "prefix")])
+def test_cli_absolute_output_name_exit_code(tmp_path, capsys, command, key):
+    # an absolute name would make the output path drop --out-dir
+    model = tmp_path / "model.json"
+    write_model_json(model, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G))
+    cfg = {
+        "schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+        "gate_period_s": T_G, "model": str(model), "trajectories": 2,
+        "kind": "bandpass", "center_hz": 1.0e6, "bandwidth_hz": 0.2e6, "power_rad2": 1e-3,
+        "sample_period_s": T_G, key: str(tmp_path / "escaped"),
+    }
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json", "model.json", "out"]
+
+
+def test_cli_sdr_block_too_large_exit_code(tmp_path, capsys):
+    # 10 shots of 16 one-second slots at 100 ns updates would be 1.6e9 normals (11.9 GiB)
+    model = tmp_path / "model.json"
+    write_model_json(model, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G))
+    cfg = {
+        "schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+        "gate_period_s": 1.0, "model": str(model), "mode": "sdr", "shots": 10,
+        "phase_update_period_s": T_G,
+    }
+    argv = ["simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert "phase_update_period" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/*"))
+
+
 @pytest.fixture(scope="module")
 def fuzz_configs(tmp_path_factory):
     """Small README-style configs, one per command, each of which exits 0 as written.
@@ -969,14 +1013,13 @@ def fuzz_configs(tmp_path_factory):
 
 
 # JSON scalars a config key may hold: bounded integers (no example can ask for a huge
-# allocation), finite floats out to +-1e300, bools, short strings without a path separator,
-# null and short lists
+# allocation), finite floats out to +-1e300, bools, short strings, null and short lists
 JSON_SCALARS = st.one_of(
     st.integers(min_value=-3, max_value=40),
     st.floats(min_value=-1e300, max_value=1e300),
     st.booleans(),
     st.sampled_from(["gate", "sdr", "fttps", "rfttps", "white_only", "bandpass"]),
-    st.text(alphabet="ab.-_", max_size=3),
+    st.text(alphabet="ab.-_/", max_size=3),
     st.none(),
     st.lists(st.one_of(st.integers(min_value=-3, max_value=40),
                        st.floats(min_value=-2.0, max_value=2.0), st.booleans(), st.none(),
@@ -1008,10 +1051,6 @@ def test_cli_any_config_value_exits_0_2_or_3(fuzz_configs, name, values):
     # error (2) or refused as a numerical failure (3); an uncaught exception fails the test
     d, configs = fuzz_configs
     for key, value in zip(sorted(configs[name]), values):
-        if name == "simulate.sdr" and key == "gate_period_s":
-            # SDR draws n_slots * gate_period / phase_update_period normals a shot, with no
-            # bound on the ratio
-            continue
         cfg = dict(configs[name], **{key: value})
         with tempfile.TemporaryDirectory(dir=d) as out:
             argv = [name.split(".")[0], "--config", write_json(Path(out) / "cfg.json", cfg),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dephasekit.noise_models import (
     ArmaModel,
     Trajectory,
+    _synthesize_phases,
     design_bandpass,
     design_lorentzian,
     design_power_law,
@@ -417,7 +418,8 @@ def test_sdr_resampling_identity_when_aligned():
     # t_s = t_G with zero offset: slot accumulation returns the raw steps
     rng = np.random.default_rng(8)
     model = ArmaModel(ar=(), ma=(0.3,), drive_std=1.0, sample_period=T_G)
-    got = _sdr_slot_phases(model, 6, N * T_G + T_G, N, T_G, np.zeros(6), rng)
+    block = _synthesize_phases(model, rng.standard_normal((6, model.burn_in + N + 3)))
+    got = _sdr_slot_phases(block, T_G, N, T_G, np.zeros(6))
     rng2 = np.random.default_rng(8)
     burn = model.burn_in
     from scipy.signal import lfilter

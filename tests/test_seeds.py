@@ -25,11 +25,17 @@ def test_row_generators_equal_child_generators(root, prefix, n_rows, suffix):
         assert r == rows
         assert rng.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
-        # p varies by row, so the reused generator's binomial set-up must not leak
+        # p varies by row, as in the gate measurement
         p = (r % 7 + 1) / 8
         assert rng.binomial(100, p) == ref.binomial(100, p)
         rows += 1
     assert rows == n_rows
+    # each row has its own generator, so rows collected first stay independent
+    collected = list(lineage.row_generators(n_rows, *suffix))
+    for r, rng in collected:
+        ref = lineage.child(r, *suffix).generator()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,18 @@ def test_family_validation():
     assert len(set(dense[-1].pulse_slots)) == 127
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(sizes=st.integers(1, 1024).flatmap(lambda n_slots: st.tuples(st.integers(1, n_slots),
+                                                                     st.just(n_slots))))
+@example(sizes=(1024, 1024))
+@example(sizes=(1, 1))
+def test_fttps_builds_distinct_slots(sizes):
+    n, n_slots = sizes
+    for k, seq in enumerate(make_fttps(n, n_slots, T_G)):
+        assert len(set(seq.pulse_slots)) == k
+        assert all(1 <= s <= n_slots for s in seq.pulse_slots)
+
+
 def test_sequence_validation():
     with pytest.raises(ValueError):
         PulseSequence(n_slots=4, pulse_slots=(3, 2), pulse_signs=(1, 1), gate_period=T_G)
