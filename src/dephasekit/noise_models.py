@@ -77,10 +77,6 @@ class ArmaModel:
         return len(self.ar), len(self.ma) - 1
 
     @property
-    def nyquist(self) -> float:
-        return 0.5 / self.sample_period
-
-    @property
     def burn_in(self) -> int:
         p, q = self.order
         return 10 * (p + q + 1)
@@ -284,7 +280,11 @@ def _design_ma(target_psd, sample_period: float, taps: int, total_power: "float 
     nfft = 1 << max(14, int(np.ceil(np.log2(8 * taps))))
     m = nfft // 2 + 1
     freqs = np.linspace(0.0, 0.5 / sample_period, m)
-    target = np.clip(np.asarray(target_psd(freqs), dtype=float), 0.0, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = np.asarray(target_psd(freqs), dtype=float)
+    if not np.isfinite(target).all():
+        raise ValueError("target PSD is not finite on [0, Nyquist]")
+    target = np.clip(target, 0.0, None)
     amplitude = np.sqrt(target / (2.0 * sample_period))
     phase = np.exp(-1j * np.pi * np.arange(m) * (taps - 1) / nfft)
     half = amplitude * phase

@@ -24,7 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .noise_models import Spectrum
-from .qns_recon import DEFAULT_SATURATION_FLOOR, _decays, _weighted_inversion
+from .qns_recon import (
+    DEFAULT_SATURATION_FLOOR,
+    _decays,
+    _gauss_newton_covariance,
+    _weighted_inversion,
+)
 from .qubit_sim import ExperimentRecord
 from .sequences import FilterFunction, _filters_by_label
 
@@ -190,7 +195,7 @@ class _ModelMatrix:
         norms = np.linalg.norm(self.weights[:, None] * columns, axis=0)
         norms[norms == 0.0] = 1.0
         _, unit = _weighted_inversion(columns / norms, self.chi - self.chi_injected,
-                                      self.weights, 0.0, check_rank=False)
+                                      self.weights, 0.0)
         full[linear] = unit / norms
         return full[_FREE[self.kind]]
 
@@ -310,15 +315,3 @@ def fit(
         jacobian_rel_err=jac_rel_err,
     )
 
-
-def _gauss_newton_covariance(jac: np.ndarray, sigma_sq: float):
-    """Covariance scaled by the fit's chi^2 per degree of freedom; a parameter whose
-    column is exactly zero (cutoff_sq at amplitude 0) gets an infinite variance."""
-    # column-normalize before inverting: raw columns differ by many decades
-    # purely from parameter units
-    norms = np.linalg.norm(jac, axis=0)
-    scale = np.where(norms > 0, norms, 1.0)
-    unit = jac / scale
-    covariance = (np.linalg.pinv(unit.T @ unit) / np.outer(scale, scale)) * sigma_sq
-    covariance[norms == 0.0, norms == 0.0] = np.inf
-    return covariance, np.sqrt(np.clip(np.diag(covariance), 0.0, None))

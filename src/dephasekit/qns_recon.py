@@ -113,7 +113,7 @@ def _bin_edges_from_filters(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bin centers and edges: per-sequence peak bins, or a uniform grid of ``bins``."""
     grid_max = float(next(iter(filters.values())).freqs[-1])
-    if bins is not None and bins != len(usable):
+    if bins is not None:
         if bins < 1:
             raise ValueError("bins must be >= 1")
         edges = np.linspace(0.0, grid_max, bins + 1)
@@ -175,8 +175,28 @@ def reconstruct_spectrum(
     else:
         centers, edges = _bin_edges_from_filters(usable, by_label, bins)
     design = _binned_filter_matrix(usable, by_label, edges)
-    a, solution = _weighted_inversion(design, chi[keep], weights[keep], ridge, check_rank)
-    stderr = _active_set_stderr(a, solution)
+    chi, weights = chi[keep], weights[keep]
+    if check_rank:
+        weighted = design * weights[:, None]
+        col_norms = np.abs(weighted).sum(axis=0)
+        dead = [int(m) for m in np.nonzero(col_norms <= 1e-15 * max(col_norms.max(), 1.0))[0]]
+        if dead:
+            raise RankDeficientError(
+                f"bins {dead} receive no filter weight from the usable sequences", dead
+            )
+        if ridge == 0.0 and np.linalg.matrix_rank(weighted) < weighted.shape[1]:
+            _, _, vt = np.linalg.svd(weighted)
+            null = np.abs(vt[-1])
+            worst = [int(m) for m in np.argsort(null)[::-1][:3]]
+            raise RankDeficientError(
+                f"design matrix is rank deficient after exclusions; "
+                f"least-constrained bins {worst}", worst
+            )
+    a, solution = _weighted_inversion(design, chi, weights, ridge)
+    # Gauss-Newton standard errors on the support of the NNLS solution, 0 elsewhere
+    free = solution > 0
+    stderr = np.zeros(solution.size)
+    stderr[free] = _gauss_newton_covariance(a[:, free], 1.0)[1]
     return SpectrumEstimate(
         freqs=centers,
         values=solution,
@@ -187,52 +207,32 @@ def reconstruct_spectrum(
 
 
 def _weighted_inversion(
-    design: np.ndarray,
-    chi: np.ndarray,
-    weights: np.ndarray,
-    ridge: float,
-    check_rank: bool,
+    design: np.ndarray, chi: np.ndarray, weights: np.ndarray, ridge: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted NNLS plus ridge of ``chi`` on the binned ``design`` (rows aligned with
     ``chi`` and ``weights``): (augmented matrix, solution)."""
     a = design * weights[:, None]
     b = chi * weights
-    n_bins = design.shape[1]
-    if check_rank:
-        col_norms = np.abs(a).sum(axis=0)
-        dead = [int(m) for m in np.nonzero(col_norms <= 1e-15 * max(col_norms.max(), 1.0))[0]]
-        if dead:
-            raise RankDeficientError(
-                f"bins {dead} receive no filter weight from the usable sequences", dead
-            )
-        if ridge == 0.0 and np.linalg.matrix_rank(a) < n_bins:
-            _, _, vt = np.linalg.svd(a)
-            null = np.abs(vt[-1])
-            worst = [int(m) for m in np.argsort(null)[::-1][:3]]
-            raise RankDeficientError(
-                f"design matrix is rank deficient after exclusions; "
-                f"least-constrained bins {worst}", worst
-            )
     if ridge > 0.0:
+        n_bins = design.shape[1]
         a = np.vstack([a, np.sqrt(ridge) * np.eye(n_bins)])
         b = np.concatenate([b, np.zeros(n_bins)])
     solution, _ = nnls(a, b)
     return a, solution
 
 
-def _active_set_stderr(a: np.ndarray, solution: np.ndarray) -> np.ndarray:
-    """Gauss-Newton standard errors on the support of the NNLS solution."""
-    stderr = np.zeros(solution.size)
-    free = solution > 0
-    if not np.any(free):
-        return stderr
-    sub = a[:, free]
-    try:
-        cov = np.linalg.pinv(sub.T @ sub)
-        stderr[free] = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    except np.linalg.LinAlgError:
-        pass
-    return stderr
+def _gauss_newton_covariance(jac: np.ndarray, sigma_sq: float):
+    """Covariance and standard errors of a weighted least-squares solution with
+    Jacobian ``jac``, scaled by ``sigma_sq``; a parameter whose column is exactly zero
+    (the fit's cutoff_sq at amplitude 0) gets an infinite variance."""
+    # column-normalize before inverting: raw columns differ by many decades
+    # purely from parameter units
+    norms = np.linalg.norm(jac, axis=0)
+    scale = np.where(norms > 0, norms, 1.0)
+    unit = jac / scale
+    covariance = (np.linalg.pinv(unit.T @ unit) / np.outer(scale, scale)) * sigma_sq
+    covariance[norms == 0.0, norms == 0.0] = np.inf
+    return covariance, np.sqrt(np.clip(np.diag(covariance), 0.0, None))
 
 
 @dataclass(frozen=True)
@@ -314,9 +314,7 @@ def bootstrap_spectrum(
                                                    rec.shots)
         keep, chi, weights = _decays(means, stderrs, floor)
         if keep.any():  # an all-saturated resample contributes zeros
-            _, values[b] = _weighted_inversion(
-                design[keep], chi[keep], weights[keep], ridge, check_rank=False
-            )
+            _, values[b] = _weighted_inversion(design[keep], chi[keep], weights[keep], ridge)
     lo_q, hi_q = quantiles
     return BootstrapSpectrum(
         point=point,

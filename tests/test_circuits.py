@@ -100,3 +100,28 @@ def test_verify_detects_mutation():
 def test_parse_rejects_garbage():
     with pytest.raises(CircuitParseError):
         parse_circuit("OPENQASM 2.0;\nqreg q[1];\nh q[0];\nmeasure q[0] -> c[0];\n")
+
+
+FTTPS_K3 = make_fttps(4, N, T_G)[3]
+
+
+@pytest.mark.parametrize(
+    "edit, against, match",
+    [
+        (lambda t: t.replace("x q[0];", "h q[0];", 1), FTTPS_K3, "unrecognized gate line"),
+        (lambda t: t.replace(t.splitlines()[4] + "\n", "", 1), FTTPS_K3, "open and close with u3"),
+        (lambda t: t.replace("q[0];\n", "q[0];\nx q[0];\n", 1), FTTPS_K3,
+         "pulse gate before any slot phase"),
+        (lambda t: t.replace("x q[0];", "u3(1.0,0.0,0.0) q[0];", 1), FTTPS_K3,
+         "unexpected in-body u3 parameters"),
+        (lambda t: t, make_fttps(4, 2 * N, T_G)[3], f"expected {2 * N} phase gates, parsed {N}"),
+        (lambda t: t, make_rfttps(4, N, T_G)[3], "pulse placement mismatch"),
+    ],
+    ids=["unknown-gate", "no-opening-u3", "pulse-before-phase", "in-body-u3-parameters",
+         "phase-gate-count", "pulse-placement"],
+)
+def test_parse_and_verify_reject_malformed_circuits(edit, against, match):
+    phases = np.full(N, 0.25)
+    text = edit(emit_circuit(FTTPS_K3, phases))
+    with pytest.raises(CircuitParseError, match=match):
+        verify_roundtrip(text, against, phases)

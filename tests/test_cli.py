@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,9 +160,12 @@ RECORD_HEADER = "seq_index,n_pulses,survival_mean,survival_stderr,shots,trajecto
          read_model_json, "not finite"),
         ("seqs.json", '[{"label": 0, "n_slots": 4, "gate_period_s": Infinity, "pulses": []}]',
          read_sequences_json, "Infinity"),
+        ("records.csv", RECORD_HEADER + "0,0,0.9,0.01,ten,1,7\n",
+         read_records_csv, "line 2: shots: not int: 'ten'"),
     ],
     ids=["records-stderr-nan", "records-stderr-inf", "spectrum-nan", "raw-nan", "raw-above-1",
-         "model-nan", "model-1e999", "model-huge-int", "sequences-infinity"],
+         "model-nan", "model-1e999", "model-huge-int", "sequences-infinity",
+         "records-unparsable"],
 )
 def test_readers_reject_non_finite_and_out_of_range(tmp_path, name, text, read, match):
     path = tmp_path / name
@@ -634,6 +638,20 @@ def test_cli_numerical_failure_exit_code(tmp_path):
     assert main(["design", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("alpha", [1e300, -1e300])
+def test_cli_non_finite_design_target_exit_code(tmp_path, capsys, alpha):
+    # a power law that overflows on the design grid is refused before any tap is computed
+    cfg = write_json(
+        tmp_path / "power_law.json",
+        {"schema_version": 1, "kind": "power_law", "alpha": alpha, "anchor_freq_hz": 1e6,
+         "anchor_psd": 1e-9, "band_lo_hz": 1e5, "band_hi_hz": 4e6, "sample_period_s": T_G},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["design", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert "target PSD is not finite" in capsys.readouterr().err
+
+
 def _bad_input_run(tmp_path, case):
     """(argv, faulty file, needs a line number) for one bad-input case."""
     model = tmp_path / "model.json"
@@ -646,6 +664,8 @@ def _bad_input_run(tmp_path, case):
         "gate_period_s": T_G, "model": str(model), "mode": "gate",
         "trajectories": 2, "shots_per_trajectory": 10,
     }
+    if case == "config-not-object":
+        return "design", [1], tmp_path / "cfg.json", False
     if case == "reconstruct-nan-stderr":
         cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
         return "reconstruct", cfg, records, True
@@ -731,7 +751,8 @@ def _mismatch_run(tmp_path, case, records, seqs):
      "reconstruct-records-unknown-label", "reconstruct-records-wrong-n-pulses",
      "reconstruct-records-duplicate-row", "reconstruct-native-unknown-label",
      "reconstruct-native-wrong-n-pulses", "fit-unknown-label", "fit-wrong-n-pulses",
-     "fit-duplicate-row", "fit-grid-mismatch", "reconstruct-repeated-label"],
+     "fit-duplicate-row", "fit-grid-mismatch", "reconstruct-repeated-label",
+     "config-not-object"],
 )
 def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)

@@ -230,6 +230,15 @@ def test_uniform_bins_option(seqs, filters):
     assert abs(peak_center - 1.0e6) <= np.diff(estimate.bin_edges)[0]
 
 
+def test_bins_equal_to_usable_count_is_uniform():
+    # asking for as many bins as usable records still gives the uniform grid
+    seqs16 = make_fttps(16, N, T_G)
+    records = noiseless_records(design_bandpass(1.0e6, 0.4e6, 1e-3, T_G), seqs16)
+    estimate = reconstruct_spectrum(records, [filter_function(s) for s in seqs16], bins=16)
+    assert len(estimate.labels) == 16, "test premise: every record is usable"
+    np.testing.assert_allclose(estimate.bin_widths, estimate.bin_edges[-1] / 16, rtol=1e-12)
+
+
 def test_ridge_shrinks_solution(seqs, filters):
     model = design_bandpass(1.0e6, 0.2e6, 1e-3, T_G)
     records = noiseless_records(model, seqs)
@@ -243,6 +252,24 @@ def test_ridge_shrinks_solution(seqs, filters):
         if ridged.values.sum() < 0.5 * plain.values.sum():
             return
     pytest.fail("no ridge value produced meaningful shrinkage")
+
+
+def test_stderr_is_gauss_newton_on_nnls_support(seqs, filters):
+    # free bins: sqrt(diag(pinv(A^T A))) of the weighted free columns; bins at 0: stderr 0
+    model = design_bandpass(1.0e6, 0.3e6, 9e-4, T_G)
+    records = noiseless_records(model, seqs)
+    estimate = reconstruct_spectrum(records, filters)
+    assert estimate.labels == tuple(range(K)), "test premise: no record saturates"
+    free = estimate.values > 0
+    assert free.any() and not free.all(), "test premise: the NNLS pins some bins at 0"
+    means = np.array([r.survival_mean for r in records])
+    stderrs = np.array([r.survival_stderr for r in records])
+    weights = (2.0 * means - 1.0) / (2.0 * stderrs)
+    design = _binned_filter_matrix(records, {f.label: f for f in filters}, estimate.bin_edges)
+    sub = (design * weights[:, None])[:, free]
+    expected = np.sqrt(np.diag(np.linalg.pinv(sub.T @ sub)))
+    np.testing.assert_allclose(estimate.stderr[free], expected, rtol=1e-10, atol=0.0)
+    assert np.all(estimate.stderr[~free] == 0.0)
 
 
 def _model_matrix(records, filters):
