@@ -73,12 +73,6 @@ def _get(config: dict, key: str, kind, default=_MISSING, *,
     return value
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _seed(config: dict, args) -> int:
     seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
     if seed < 0:
@@ -88,8 +82,7 @@ def _seed(config: dict, args) -> int:
 
 # -- design -------------------------------------------------------------------
 
-def cmd_design(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_design(config: dict, args, out: Path) -> None:
     kind = _get(config, "kind", str, choices=("bandpass", "multiband", "power_law", "lorentzian"))
     t_s = _get(config, "sample_period_s", float, above=0)
     taps = _get(config, "taps", int, noise_models.DEFAULT_TAPS, at_least=3)
@@ -170,8 +163,7 @@ def _mode_from_config(config: dict):
     )
 
 
-def cmd_simulate(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_simulate(config: dict, args, out: Path) -> None:
     seqs = _sequences_from_config(config)
     model = serialize.read_model_json(_get(config, "model", str))
     native_path = _get(config, "native_model", str, None)
@@ -232,8 +224,7 @@ def _saturation_floor(config: dict) -> float:
                 above=0, below=0.5)
 
 
-def cmd_reconstruct(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_reconstruct(config: dict, args, out: Path) -> None:
     records, seqs = _records_and_sequences(config)
     native_path = _get(config, "native_records", str, None)
     if native_path:
@@ -291,8 +282,7 @@ def cmd_reconstruct(config: dict, args) -> None:
 
 # -- fit -----------------------------------------------------------------------
 
-def cmd_fit(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_fit(config: dict, args, out: Path) -> None:
     records, seqs = _records_and_sequences(config)
     grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=3)
     filters = _filters_for(seqs, grid_size)
@@ -346,8 +336,7 @@ def cmd_fit(config: dict, args) -> None:
 
 # -- export-circuits ---------------------------------------------------------------
 
-def cmd_export_circuits(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_export_circuits(config: dict, args, out: Path) -> None:
     seqs = _sequences_from_config(config)
     model = serialize.read_model_json(_get(config, "model", str))
     n_traj = _get(config, "trajectories", int, above=0)
@@ -370,8 +359,7 @@ def cmd_export_circuits(config: dict, args) -> None:
 
 # -- ingest -----------------------------------------------------------------------
 
-def cmd_ingest(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_ingest(config: dict, args, out: Path) -> None:
     records_path = _get(config, "records", str)
     records = serialize.read_records_csv(records_path, impute_stderr=True)
     seq_path = _get(config, "sequences", str, None)
@@ -388,8 +376,7 @@ def cmd_ingest(config: dict, args) -> None:
 
 # -- report -----------------------------------------------------------------------
 
-def cmd_report(config: dict, args) -> None:
-    out = _out_dir(args)
+def cmd_report(config: dict, args, out: Path) -> None:
     records = serialize.read_records_csv(_get(config, "records", str), impute_stderr=True)
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -449,7 +436,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        _COMMANDS[args.command](config, args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](config, args, out)
     except (ConfigError, SchemaError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

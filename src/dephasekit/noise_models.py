@@ -272,7 +272,8 @@ def _raised_cosine_window(taps: int) -> np.ndarray:
 
 
 def _design_ma(target_psd, sample_period: float, taps: int, total_power: "float | None") -> ArmaModel:
-    """FIR taps whose PSD approximates ``target_psd`` (a callable f -> rad^2/Hz)."""
+    """FIR taps whose PSD approximates ``target_psd`` (a callable f -> rad^2/Hz); the silent
+    model when ``total_power`` or the taps' power is 0."""
     if taps < 3:
         raise ValueError("taps must be >= 3")
     if taps % 2 == 0:
@@ -291,10 +292,10 @@ def _design_ma(target_psd, sample_period: float, taps: int, total_power: "float 
     spectrum = np.concatenate([half, np.conj(half[-2:0:-1])])
     taps_raw = np.fft.ifft(spectrum).real[:taps]
     b = taps_raw * _raised_cosine_window(taps)
+    raw_power = float(np.dot(b, b))
+    if total_power == 0.0 or raw_power == 0.0:
+        return ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=sample_period)
     if total_power is not None:
-        raw_power = float(np.dot(b, b))
-        if total_power == 0.0 or raw_power == 0.0:
-            return ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=sample_period)
         b = b * np.sqrt(total_power / raw_power)
     return ArmaModel(ar=(), ma=tuple(b), drive_std=1.0, sample_period=sample_period)
 
@@ -409,8 +410,6 @@ def design_lorentzian(
         raise ValueError("amplitude and white_floor must be >= 0")
     if cutoff <= 0:
         raise ValueError(f"cutoff must be > 0, got {cutoff}")
-    if amplitude == 0.0 and white_floor == 0.0:
-        return ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=sample_period)
 
     def target(f: np.ndarray) -> np.ndarray:
         omega = 2.0 * np.pi * f

@@ -36,13 +36,13 @@ from .sequences import FilterFunction, _filters_by_label
 LORENTZIAN_PLUS_WHITE = "lorentzian_plus_white"
 WHITE_ONLY = "white_only"
 # both kinds evaluate one vector (amplitude, cutoff_sq, white_floor, c1, c2); a kind fits
-# a slice of it, and the entries it leaves out keep their _PINNED values
+# a slice of it, and the entries it leaves out keep their _PINNED values.  Slices, not
+# index lists: an index list makes the Jacobian column-major, and param_stderr then
+# rounds differently (test_fit_golden_digest pins its bits)
 _VECTOR_NAMES = ("amplitude", "cutoff_sq", "white_floor", "c1", "c2")
 _PINNED = (0.0, 1.0, 0.0, 0.0, 0.0)
 _FREE = {LORENTZIAN_PLUS_WHITE: slice(0, 5), WHITE_ONLY: slice(2, 5)}
 _PARAM_NAMES = {kind: _VECTOR_NAMES[free] for kind, free in _FREE.items()}
-# the entries the NNLS solves for at a fixed cutoff_sq
-_LINEAR = {LORENTZIAN_PLUS_WHITE: [0, 2, 3, 4], WHITE_ONLY: [2, 3, 4]}
 _GRID_POINTS = 64  # log-spaced cutoff_sq values over the filters' band
 _MAX_NFEV = 100  # evaluation budget of the cutoff_sq refinement
 
@@ -86,21 +86,15 @@ class FitParams:
         object.__setattr__(self, "mask", frozenset(int(k) for k in self.mask))
 
     def to_vector(self) -> np.ndarray:
-        full = np.array([self.amplitude, self.cutoff**2, self.white_floor, self.c1, self.c2])
-        return full[_FREE[self.kind]]
+        """The kind's fitted entries of :meth:`full_vector`."""
+        return self.full_vector()[_FREE[self.kind]]
 
-    @classmethod
-    def from_vector(cls, x: np.ndarray, kind: str, mask: frozenset) -> "FitParams":
-        a, wc2, s2, c1, c2 = _full_vector(x, kind)
-        return cls(amplitude=a, cutoff=float(np.sqrt(wc2)), white_floor=s2,
-                   c1=c1, c2=c2, kind=kind, mask=mask)
-
-
-def _full_vector(x: np.ndarray, kind: str) -> np.ndarray:
-    """The five-entry model vector: ``x`` in the kind's slice, pinned values elsewhere."""
-    full = np.array(_PINNED)
-    full[_FREE[kind]] = x
-    return full
+    def full_vector(self) -> np.ndarray:
+        """The five-entry model vector: the kind's entries, ``_PINNED`` values elsewhere."""
+        free = _FREE[self.kind]
+        full = np.array(_PINNED)
+        full[free] = [self.amplitude, self.cutoff**2, self.white_floor, self.c1, self.c2][free]
+        return full
 
 
 def predict_survival(
@@ -113,7 +107,7 @@ def predict_survival(
     record = ExperimentRecord(label=filt.label, n_pulses=n_pulses, survival_mean=1.0,
                               survival_stderr=0.0, shots=1, trajectories=1, seed=0)
     matrix = _ModelMatrix([record], [filt], injected, params.kind)
-    return float(matrix.model(params.to_vector())[0])
+    return float(matrix.model(params.full_vector())[0])
 
 
 @dataclass(frozen=True)
@@ -134,7 +128,8 @@ class FitResult:
 
 
 class _ModelMatrix:
-    """Precomputed per-sequence quantities for the vectorized model."""
+    """Precomputed per-sequence quantities for the vectorized model.  Every method works on
+    the five-entry vector; ``jacobian`` gives the columns of the kind's slice."""
 
     def __init__(self, records, filters, injected, kind):
         by_label = _filters_by_label(records, filters)
@@ -158,7 +153,7 @@ class _ModelMatrix:
             self.chi_injected = gmat @ injected.values
 
     def exponent(self, x: np.ndarray) -> np.ndarray:
-        a, wc2, s2, c1, c2 = _full_vector(x, self.kind)
+        a, wc2, s2, c1, c2 = x
         lor = wc2 / (wc2 + self.omega_sq)
         chi_nat = a * (self.gmat @ lor) + s2 * self.g_total
         return chi_nat + self.chi_injected + c1 * self.n_pulses + c2 * self.n_pulses**2
@@ -180,16 +175,16 @@ class _ModelMatrix:
         )
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic d residual / d x."""
-        a, wc2 = _full_vector(x, self.kind)[:2]
+        """Analytic d residual / d (the kind's entries of x)."""
+        a, wc2 = x[:2]
         return self.weights[:, None] * self._columns(a, wc2)[:, _FREE[self.kind]]
 
     def project(self, wc2: float) -> np.ndarray:
-        """The kind's vector at cutoff_sq ``wc2`` with the loss-minimising linear entries:
+        """The vector at cutoff_sq ``wc2`` with the kind's loss-minimising linear entries:
         one weighted NNLS of chi minus the injected exponent."""
         full = np.array(_PINNED)
         full[1] = wc2
-        linear = _LINEAR[self.kind]
+        linear = [i for i in range(5)[_FREE[self.kind]] if i != 1]
         columns = self._columns(1.0, wc2)[:, linear]
         # unit weighted columns: their raw scales span ~10 decades
         norms = np.linalg.norm(self.weights[:, None] * columns, axis=0)
@@ -197,7 +192,7 @@ class _ModelMatrix:
         _, unit = _weighted_inversion(columns / norms, self.chi - self.chi_injected,
                                       self.weights, 0.0)
         full[linear] = unit / norms
-        return full[_FREE[self.kind]]
+        return full
 
 
 def _profiled_cutoff(matrix: _ModelMatrix):
@@ -235,13 +230,14 @@ def _profiled_cutoff(matrix: _ModelMatrix):
 
 
 def _fd_jacobian(matrix: _ModelMatrix, x: np.ndarray) -> np.ndarray:
-    jac = np.empty((matrix.measured.size, x.size))
-    for i in range(x.size):
+    free = range(5)[_FREE[matrix.kind]]
+    jac = np.empty((matrix.measured.size, len(free)))
+    for j, i in enumerate(free):
         h = 1e-6 * max(abs(x[i]), 1e-9)
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] = max(xm[i] - h, 0.0)
-        jac[:, i] = (matrix.residuals(xp) - matrix.residuals(xm)) / (xp[i] - xm[i])
+        jac[:, j] = (matrix.residuals(xp) - matrix.residuals(xm)) / (xp[i] - xm[i])
     return jac
 
 
@@ -295,7 +291,9 @@ def fit(
     scale = max(np.abs(jac_fd).max(), 1e-300)
     jac_rel_err = float(np.abs(jac_analytic - jac_fd).max() / scale)
     covariance, stderr = _gauss_newton_covariance(jac_analytic, chi2_per_dof)
-    params = FitParams.from_vector(x, kind, mask_set)
+    a, wc2, s2, c1, c2 = x
+    params = FitParams(amplitude=a, cutoff=float(np.sqrt(wc2)), white_floor=s2, c1=c1, c2=c2,
+                       kind=kind, mask=mask_set)
     # a parameter the records cannot pin down: its stderr is non-finite or exceeds its size
     unresolved = tuple(n for n, v, err in zip(names, params.to_vector(), stderr)
                        if not np.isfinite(err) or err > abs(v))
@@ -308,7 +306,7 @@ def fit(
         saturated=matrix.saturated,
         covariance=covariance,
         param_stderr=stderr,
-        bounds_active=tuple(n for n, b in zip(names, at_bound) if b),
+        bounds_active=tuple(n for n, b in zip(names, at_bound[_FREE[kind]]) if b),
         unresolved=unresolved,
         converged=converged,
         message=message,

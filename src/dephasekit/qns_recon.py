@@ -193,10 +193,14 @@ def reconstruct_spectrum(
                 f"least-constrained bins {worst}", worst
             )
     a, solution = _weighted_inversion(design, chi, weights, ridge)
-    # Gauss-Newton standard errors on the support of the NNLS solution, 0 elsewhere
+    # Gauss-Newton standard errors on the support of the NNLS solution; a bin pinned at 0
+    # gets its standard error were it free alongside the support
     free = solution > 0
-    stderr = np.zeros(solution.size)
+    stderr = np.empty(solution.size)
     stderr[free] = _gauss_newton_covariance(a[:, free], 1.0)[1]
+    support = np.flatnonzero(free)
+    for m in np.flatnonzero(~free):
+        stderr[m] = _gauss_newton_covariance(a[:, np.append(support, m)], 1.0)[1][-1]
     return SpectrumEstimate(
         freqs=centers,
         values=solution,

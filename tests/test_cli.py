@@ -686,6 +686,8 @@ def _bad_input_run(tmp_path, case):
         records.write_text(RECORD_HEADER)
         return "report", {"schema_version": 1, "records": str(records)}, records, False
     records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    if case.startswith(("records-", "injected-", "model-", "sequences-", "raw-")):
+        return _invalid_file_run(tmp_path, case, records, seqs, model, simulate)
     if case == "reconstruct-empty-sequences":
         seqs.write_text("[]\n")
         cfg = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
@@ -698,6 +700,38 @@ def _bad_input_run(tmp_path, case):
     fit_report = tmp_path / "fit_report.json"
     cfg = {"schema_version": 1, "records": str(records), "fit_report": str(fit_report)}
     return "report", cfg, fit_report, False
+
+
+def _invalid_file_run(tmp_path, case, records, seqs, model, simulate):
+    """An input file that its reader rejects: empty, or not a valid spectrum, model,
+    sequence document or per-trajectory sidecar."""
+    recon = {"schema_version": 1, "records": str(records), "sequences": str(seqs)}
+    if case == "records-empty-file":
+        records.write_text("")
+        return "reconstruct", recon, records, False
+    if case.startswith("injected-"):
+        spectrum = tmp_path / "injected.csv"
+        descending = case == "injected-descending-freqs"
+        rows = "2.0,1e-9\n1.0,1e-9\n" if descending else "1.0,1e-9\n2.0,-1e-9\n"
+        spectrum.write_text("freq_hz,psd_rad2_per_hz\n" + rows)
+        return "fit", dict(recon, injected_spectrum=str(spectrum)), spectrum, False
+    if case.startswith("model-"):
+        doc = {"ar": [], "ma": [1.0], "drive_std": 0.1, "sample_period_s": T_G}
+        if case == "model-missing-ma":
+            del doc["ma"]
+        else:
+            doc["drive_std"] = "x"
+        model.write_text(json.dumps(doc))
+        return "simulate", simulate, model, False
+    if case == "sequences-missing-n-slots":
+        docs = json.loads(seqs.read_text())
+        del docs[0]["n_slots"]
+        seqs.write_text(json.dumps(docs))
+        return "reconstruct", recon, seqs, False
+    raw = tmp_path / "records_raw.csv"  # the record expects one row, for sequence 0
+    rows = "1,0,0.9\n" if case == "raw-no-rows-for-sequence" else "0,0,0.9\n0,1,0.8\n"
+    raw.write_text("seq_index,trajectory,survival\n" + rows)
+    return "reconstruct", dict(recon, bootstrap_resamples=10, raw_survivals=str(raw)), raw, False
 
 
 def _mismatch_run(tmp_path, case, records, seqs):
@@ -752,7 +786,11 @@ def _mismatch_run(tmp_path, case, records, seqs):
      "reconstruct-records-duplicate-row", "reconstruct-native-unknown-label",
      "reconstruct-native-wrong-n-pulses", "fit-unknown-label", "fit-wrong-n-pulses",
      "fit-duplicate-row", "fit-grid-mismatch", "reconstruct-repeated-label",
-     "config-not-object"],
+     "config-not-object",
+     # files their readers reject
+     "records-empty-file", "injected-descending-freqs", "injected-negative-psd",
+     "model-missing-ma", "model-non-numeric-drive-std", "sequences-missing-n-slots",
+     "raw-no-rows-for-sequence", "raw-row-count-mismatch"],
 )
 def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)

@@ -255,7 +255,8 @@ def test_ridge_shrinks_solution(seqs, filters):
 
 
 def test_stderr_is_gauss_newton_on_nnls_support(seqs, filters):
-    # free bins: sqrt(diag(pinv(A^T A))) of the weighted free columns; bins at 0: stderr 0
+    # free bins: sqrt(diag(pinv(A^T A))) of the weighted free columns; a bin m at 0: the
+    # same on the free columns plus column m
     model = design_bandpass(1.0e6, 0.3e6, 9e-4, T_G)
     records = noiseless_records(model, seqs)
     estimate = reconstruct_spectrum(records, filters)
@@ -269,7 +270,10 @@ def test_stderr_is_gauss_newton_on_nnls_support(seqs, filters):
     sub = (design * weights[:, None])[:, free]
     expected = np.sqrt(np.diag(np.linalg.pinv(sub.T @ sub)))
     np.testing.assert_allclose(estimate.stderr[free], expected, rtol=1e-10, atol=0.0)
-    assert np.all(estimate.stderr[~free] == 0.0)
+    for m in np.flatnonzero(~free):
+        sub = (design * weights[:, None])[:, np.append(np.flatnonzero(free), m)]
+        expected = np.sqrt(np.linalg.pinv(sub.T @ sub)[-1, -1])
+        np.testing.assert_allclose(estimate.stderr[m], expected, rtol=1e-10, atol=0.0)
 
 
 def _model_matrix(records, filters):
