@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import operator
 import sys
 from pathlib import Path
 
@@ -22,116 +21,79 @@ import numpy as np
 from . import circuits, noise_models, predictor, qns_recon, qubit_sim, serialize, sequences
 from .noise_models import UnstableModelError
 from .qns_recon import RankDeficientError
-from .serialize import SchemaError
+from .serialize import SchemaError, field, number_list
 
 SCHEMA_VERSION = 1
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _load_config(path: str) -> dict:
     doc = serialize.read_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{path}: key 'schema_version': expected {SCHEMA_VERSION}, got {version!r}"
-        )
+    try:
+        field(doc, "schema_version", int, choices=(SCHEMA_VERSION,))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     return doc
 
 
-_MISSING = object()
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
-
-
-def _get(config: dict, key: str, kind, default=_MISSING, *,
-         above=None, at_least=None, below=None, choices=None):
-    """``config[key]`` as ``kind``, inside its domain: bounds or allowed values.
-
-    A key that has a default gives it when missing or null.
-    """
-    if config.get(key) is None and default is not _MISSING:
-        return default
-    if key not in config:
-        raise ConfigError(f"key '{key}': required but missing")
-    value = config[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
-        raise ConfigError(f"key '{key}': expected {kind.__name__}, got {value!r}")
-    bounds = [(op, bound) for op, bound in ((">", above), (">=", at_least), ("<", below))
-              if bound is not None]
-    if not all(_COMPARE[op](value, bound) for op, bound in bounds):
-        domain = " and ".join(f"{op} {bound}" for op, bound in bounds)
-        raise ConfigError(f"key '{key}': expected a number {domain}, got {value!r}")
-    if choices is not None and value not in choices:
-        allowed = ", ".join(map(str, choices[:-1])) + f" or {choices[-1]}"
-        raise ConfigError(f"key '{key}': expected {allowed}, got {value!r}")
-    return value
-
-
 def _seed(config: dict, args) -> int:
-    seed = args.seed if args.seed is not None else _get(config, "seed", int, 0)
+    seed = args.seed if args.seed is not None else field(config, "seed", int, 0)
     if seed < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
+        raise SchemaError(f"seed: expected a non-negative integer, got {seed}")
     return seed
 
 
 # -- design -------------------------------------------------------------------
 
 def cmd_design(config: dict, args, out: Path) -> None:
-    kind = _get(config, "kind", str, choices=("bandpass", "multiband", "power_law", "lorentzian"))
-    t_s = _get(config, "sample_period_s", float, above=0)
-    taps = _get(config, "taps", int, noise_models.DEFAULT_TAPS, at_least=3)
+    kind = field(config, "kind", str, choices=("bandpass", "multiband", "power_law", "lorentzian"))
+    t_s = field(config, "sample_period_s", float, above=0)
+    taps = field(config, "taps", int, noise_models.DEFAULT_TAPS, at_least=3)
     if taps % 2 == 0:
-        raise ConfigError(f"key 'taps': expected an odd number, got {taps}")
-    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
+        raise SchemaError(f"key 'taps': expected an odd number, got {taps}")
+    grid_size = field(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
     if kind == "bandpass":
         model = noise_models.design_bandpass(
-            _get(config, "center_hz", float),
-            _get(config, "bandwidth_hz", float, above=0),
-            _get(config, "power_rad2", float, at_least=0),
+            field(config, "center_hz", float),
+            field(config, "bandwidth_hz", float, above=0),
+            field(config, "power_rad2", float, at_least=0),
             t_s,
             taps=taps,
         )
     elif kind == "multiband":
-        bands = _get(config, "bands", list)
+        bands = field(config, "bands", list)
         if not bands or not all(isinstance(band, dict) for band in bands):
-            raise ConfigError(f"key 'bands': expected a non-empty list of objects, got {bands!r}")
+            raise SchemaError(f"key 'bands': expected a non-empty list of objects, got {bands!r}")
         bands = [
             (
-                _get(band, "center_hz", float),
-                _get(band, "width_hz", float, above=0),
-                _get(band, "power_rad2", float, at_least=0),
+                field(band, "center_hz", float),
+                field(band, "width_hz", float, above=0),
+                field(band, "power_rad2", float, at_least=0),
             )
             for band in bands
         ]
         model = noise_models.design_multiband(bands, t_s, taps=taps)
     elif kind == "power_law":
         model = noise_models.design_power_law(
-            _get(config, "alpha", float),
+            field(config, "alpha", float),
             (
-                _get(config, "anchor_freq_hz", float, above=0),
-                _get(config, "anchor_psd", float, at_least=0),
+                field(config, "anchor_freq_hz", float, above=0),
+                field(config, "anchor_psd", float, at_least=0),
             ),
-            (_get(config, "band_lo_hz", float), _get(config, "band_hi_hz", float)),
+            (field(config, "band_lo_hz", float), field(config, "band_hi_hz", float)),
             t_s,
             taps=taps,
         )
     else:
         model = noise_models.design_lorentzian(
-            _get(config, "amplitude", float, at_least=0),
-            _get(config, "cutoff_rad_per_s", float, above=0),
-            _get(config, "white_floor", float, at_least=0),
+            field(config, "amplitude", float, at_least=0),
+            field(config, "cutoff_rad_per_s", float, above=0),
+            field(config, "white_floor", float, at_least=0),
             t_s,
             taps=taps,
         )
-    name = _get(config, "name", str, "model")
+    name = field(config, "name", str, "model")
     if not name or "/" in name or "\\" in name:
-        raise ConfigError(f"key 'name': expected a non-empty name with no / or \\, got {name!r}")
+        raise SchemaError(f"key 'name': expected a non-empty name with no / or \\, got {name!r}")
     serialize.write_model_json(out / f"{name}.json", model)
     serialize.write_spectrum_csv(out / f"{name}_psd.csv", noise_models.psd(model, grid_size))
     print(f"wrote {out / (name + '.json')} and {out / (name + '_psd.csv')}")
@@ -140,39 +102,39 @@ def cmd_design(config: dict, args, out: Path) -> None:
 # -- simulate -------------------------------------------------------------------
 
 def _sequences_from_config(config: dict) -> "list[sequences.PulseSequence]":
-    family = _get(config, "family", str, choices=("fttps", "rfttps"))
+    family = field(config, "family", str, choices=("fttps", "rfttps"))
     maker = sequences.make_fttps if family == "fttps" else sequences.make_rfttps
-    n_sequences = _get(config, "n_sequences", int, above=0)
+    n_sequences = field(config, "n_sequences", int, above=0)
     return maker(
         n_sequences,
-        _get(config, "n_slots", int, at_least=n_sequences),
-        _get(config, "gate_period_s", float, above=0),
+        field(config, "n_slots", int, at_least=n_sequences),
+        field(config, "gate_period_s", float, above=0),
     )
 
 
 def _mode_from_config(config: dict):
-    if _get(config, "mode", str, choices=("gate", "sdr")) == "gate":
+    if field(config, "mode", str, choices=("gate", "sdr")) == "gate":
         return qubit_sim.GateMode(
-            trajectories=_get(config, "trajectories", int, above=0),
-            shots_per_trajectory=_get(config, "shots_per_trajectory", int, above=0),
+            trajectories=field(config, "trajectories", int, above=0),
+            shots_per_trajectory=field(config, "shots_per_trajectory", int, above=0),
         )
     return qubit_sim.SdrMode(
-        shots=_get(config, "shots", int, above=0),
-        phase_update_period=_get(config, "phase_update_period_s", float, above=0),
-        random_time_offset=_get(config, "random_time_offset", bool, True),
+        shots=field(config, "shots", int, above=0),
+        phase_update_period=field(config, "phase_update_period_s", float, above=0),
+        random_time_offset=field(config, "random_time_offset", bool, True),
     )
 
 
 def cmd_simulate(config: dict, args, out: Path) -> None:
     seqs = _sequences_from_config(config)
-    model = serialize.read_model_json(_get(config, "model", str))
-    native_path = _get(config, "native_model", str, None)
+    model = serialize.read_model_json(field(config, "model", str))
+    native_path = field(config, "native_model", str, None)
     native = serialize.read_model_json(native_path) if native_path else None
     perr = qubit_sim.PulseErrorModel(
-        over_rotation=_get(config, "over_rotation_rad", float, 0.0),
-        jitter_std=_get(config, "jitter_std_rad", float, 0.0, at_least=0),
+        over_rotation=field(config, "over_rotation_rad", float, 0.0),
+        jitter_std=field(config, "jitter_std_rad", float, 0.0, at_least=0),
     )
-    keep_raw = _get(config, "keep_raw", bool, False)
+    keep_raw = field(config, "keep_raw", bool, False)
     records = qubit_sim.run_experiment(
         seqs,
         model,
@@ -180,7 +142,7 @@ def cmd_simulate(config: dict, args, out: Path) -> None:
         pulse_errors=perr,
         mode=_mode_from_config(config),
         seed=_seed(config, args),
-        target_state=_get(config, "target_state", int, 1, choices=(0, 1)),
+        target_state=field(config, "target_state", int, 1, choices=(0, 1)),
         keep_raw=keep_raw,
     )
     serialize.write_records_csv(out / "records.csv", records)
@@ -192,56 +154,48 @@ def cmd_simulate(config: dict, args, out: Path) -> None:
 
 # -- reconstruct ------------------------------------------------------------------
 
-def _filters_for(seqs, grid_size):
-    return [sequences.filter_function(s, grid_size) for s in seqs]
-
-
 def _records_and_sequences(config: dict):
     """The records and the sequence documents a config names, checked against each other."""
-    path = _get(config, "records", str)
-    records = serialize.read_records_csv(path, impute_stderr=True)
-    seqs = serialize.read_sequences_json(_get(config, "sequences", str))
+    path = field(config, "records", str)
+    records = serialize.read_records_csv(path)
+    seqs = serialize.read_sequences_json(field(config, "sequences", str))
     serialize.check_records_match_sequences(path, records, seqs)
     return records, seqs
 
 
 def _bootstrap_quantiles(config: dict) -> "tuple[float, float]":
-    quantiles = _get(config, "bootstrap_quantiles", list, [0.025, 0.975])
-    finite = len(quantiles) == 2 and all(
-        isinstance(q, (int, float)) and not isinstance(q, bool) and math.isfinite(q)
-        for q in quantiles
-    )
-    if not finite or not 0.0 <= quantiles[0] < quantiles[1] <= 1.0:
-        raise ConfigError(
+    quantiles = number_list(config, "bootstrap_quantiles", [0.025, 0.975])
+    if len(quantiles) != 2 or not 0.0 <= quantiles[0] < quantiles[1] <= 1.0:
+        raise SchemaError(
             f"key 'bootstrap_quantiles': expected two numbers 0 <= lo < hi <= 1, "
             f"got {quantiles!r}"
         )
-    return float(quantiles[0]), float(quantiles[1])
+    return quantiles[0], quantiles[1]
 
 
 def _saturation_floor(config: dict) -> float:
-    return _get(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR,
-                above=0, below=0.5)
+    return field(config, "saturation_floor", float, qns_recon.DEFAULT_SATURATION_FLOOR,
+                 above=0, below=0.5)
 
 
 def cmd_reconstruct(config: dict, args, out: Path) -> None:
     records, seqs = _records_and_sequences(config)
-    native_path = _get(config, "native_records", str, None)
+    native_path = field(config, "native_records", str, None)
     if native_path:
-        native_records = serialize.read_records_csv(native_path, impute_stderr=True)
+        native_records = serialize.read_records_csv(native_path)
         serialize.check_records_match_sequences(native_path, native_records, seqs)
-    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
-    filters = _filters_for(seqs, grid_size)
+    grid_size = field(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
+    filters = [sequences.filter_function(s, grid_size) for s in seqs]
     floor = _saturation_floor(config)
-    ridge = _get(config, "ridge", float, 0.0, at_least=0)
-    bins = _get(config, "bins", int, None, at_least=1)
-    resamples = _get(config, "bootstrap_resamples", int, 0, at_least=0)
+    ridge = field(config, "ridge", float, 0.0, at_least=0)
+    bins = field(config, "bins", int, None, at_least=1)
+    resamples = field(config, "bootstrap_resamples", int, 0, at_least=0)
     band = None
     if resamples > 0:
         quantiles = _bootstrap_quantiles(config)
-        raw_path = _get(config, "raw_survivals", str, None)
+        raw_path = field(config, "raw_survivals", str, None)
         if raw_path is None:
-            raise ConfigError(
+            raise SchemaError(
                 "key 'raw_survivals': bootstrap needs the per-trajectory file "
                 "written by simulate with keep_raw=true"
             )
@@ -284,9 +238,9 @@ def cmd_reconstruct(config: dict, args, out: Path) -> None:
 
 def cmd_fit(config: dict, args, out: Path) -> None:
     records, seqs = _records_and_sequences(config)
-    grid_size = _get(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=3)
-    filters = _filters_for(seqs, grid_size)
-    injected_path = _get(config, "injected_spectrum", str, None)
+    grid_size = field(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=3)
+    filters = [sequences.filter_function(s, grid_size) for s in seqs]
+    injected_path = field(config, "injected_spectrum", str, None)
     injected = None
     if injected_path:
         injected = serialize.read_spectrum_csv(injected_path, seqs[0].gate_period)
@@ -295,16 +249,16 @@ def cmd_fit(config: dict, args, out: Path) -> None:
                 f"{injected_path}: spectrum grid of {injected.freqs.size} points does not "
                 f"match the filters' grid of {filters[0].freqs.size} points (grid_size)"
             )
-    kind = _get(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE,
-                choices=tuple(predictor._PARAM_NAMES))
-    mask = _get(config, "mask", list, [])
+    kind = field(config, "model_kind", str, predictor.LORENTZIAN_PLUS_WHITE,
+                 choices=tuple(predictor._PARAM_NAMES))
+    mask = field(config, "mask", list, [])
     labels = {r.label for r in records}
     for k in mask:
         if isinstance(k, bool) or not isinstance(k, int) or k not in labels:
-            raise ConfigError(f"key 'mask': entry {k!r} is not the seq_index of a record")
+            raise SchemaError(f"key 'mask': entry {k!r} is not the seq_index of a record")
     n_free, n_fit = len(predictor._PARAM_NAMES[kind]), len(labels - set(mask))
     if n_fit <= n_free:
-        raise ConfigError(f"key 'mask': leaves {n_fit} records, {kind} needs at least {n_free + 1}")
+        raise SchemaError(f"key 'mask': leaves {n_fit} records, {kind} needs at least {n_free + 1}")
     result = predictor.fit(records, filters, injected=injected, kind=kind, mask=mask)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -338,12 +292,12 @@ def cmd_fit(config: dict, args, out: Path) -> None:
 
 def cmd_export_circuits(config: dict, args, out: Path) -> None:
     seqs = _sequences_from_config(config)
-    model = serialize.read_model_json(_get(config, "model", str))
-    n_traj = _get(config, "trajectories", int, above=0)
-    target = _get(config, "target_state", int, 1, choices=(0, 1))
-    prefix = _get(config, "prefix", str, "circuit")
+    model = serialize.read_model_json(field(config, "model", str))
+    n_traj = field(config, "trajectories", int, above=0)
+    target = field(config, "target_state", int, 1, choices=(0, 1))
+    prefix = field(config, "prefix", str, "circuit")
     if not prefix or "/" in prefix or "\\" in prefix:
-        raise ConfigError(f"key 'prefix': expected a non-empty name with no / or \\, got {prefix!r}")
+        raise SchemaError(f"key 'prefix': expected a non-empty name with no / or \\, got {prefix!r}")
     seed = _seed(config, args)
     count = 0
     for seq in seqs:
@@ -360,9 +314,9 @@ def cmd_export_circuits(config: dict, args, out: Path) -> None:
 # -- ingest -----------------------------------------------------------------------
 
 def cmd_ingest(config: dict, args, out: Path) -> None:
-    records_path = _get(config, "records", str)
-    records = serialize.read_records_csv(records_path, impute_stderr=True)
-    seq_path = _get(config, "sequences", str, None)
+    records_path = field(config, "records", str)
+    records = serialize.read_records_csv(records_path)
+    seq_path = field(config, "sequences", str, None)
     if seq_path:
         seqs = serialize.read_sequences_json(seq_path)
         serialize.check_records_match_sequences(records_path, records, seqs)
@@ -377,7 +331,7 @@ def cmd_ingest(config: dict, args, out: Path) -> None:
 # -- report -----------------------------------------------------------------------
 
 def cmd_report(config: dict, args, out: Path) -> None:
-    records = serialize.read_records_csv(_get(config, "records", str), impute_stderr=True)
+    records = serialize.read_records_csv(field(config, "records", str))
     summary = {
         "schema_version": SCHEMA_VERSION,
         "n_sequences": len(records),
@@ -385,14 +339,14 @@ def cmd_report(config: dict, args, out: Path) -> None:
         "survival_min": min(r.survival_mean for r in records),
         "survival_max": max(r.survival_mean for r in records),
     }
-    recon_path = _get(config, "reconstruction", str, None)
+    recon_path = field(config, "reconstruction", str, None)
     plot_rows = [("survival", r.n_pulses, float(r.survival_mean)) for r in records]
     if recon_path:
         freqs, values = serialize.read_spectrum_arrays(recon_path)
         summary["reconstruction_bins"] = int(freqs.size)
         summary["reconstruction_peak_hz"] = float(freqs[np.argmax(values)])
         plot_rows += [("spectrum", f, v) for f, v in zip(freqs, values)]
-    fit_path = _get(config, "fit_report", str, None)
+    fit_path = field(config, "fit_report", str, None)
     if fit_path:
         summary["fit"] = serialize.read_json(fit_path)
     serialize.write_json(out / "report.json", summary)
@@ -437,9 +391,12 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SchemaError(f"--out-dir {out}: cannot create the directory: {exc}") from exc
         _COMMANDS[args.command](config, args, out)
-    except (ConfigError, SchemaError) as exc:
+    except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (UnstableModelError, RankDeficientError, ValueError, OverflowError,

@@ -151,7 +151,6 @@ def reconstruct_spectrum(
     bins: Optional[int] = None,
     ridge: float = 0.0,
     saturation_floor: float = DEFAULT_SATURATION_FLOOR,
-    check_rank: bool = True,
     bins_like: Optional[SpectrumEstimate] = None,
 ) -> SpectrumEstimate:
     """Weighted non-negative least-squares inversion onto coarse bins.
@@ -176,22 +175,21 @@ def reconstruct_spectrum(
         centers, edges = _bin_edges_from_filters(usable, by_label, bins)
     design = _binned_filter_matrix(usable, by_label, edges)
     chi, weights = chi[keep], weights[keep]
-    if check_rank:
-        weighted = design * weights[:, None]
-        col_norms = np.abs(weighted).sum(axis=0)
-        dead = [int(m) for m in np.nonzero(col_norms <= 1e-15 * max(col_norms.max(), 1.0))[0]]
-        if dead:
-            raise RankDeficientError(
-                f"bins {dead} receive no filter weight from the usable sequences", dead
-            )
-        if ridge == 0.0 and np.linalg.matrix_rank(weighted) < weighted.shape[1]:
-            _, _, vt = np.linalg.svd(weighted)
-            null = np.abs(vt[-1])
-            worst = [int(m) for m in np.argsort(null)[::-1][:3]]
-            raise RankDeficientError(
-                f"design matrix is rank deficient after exclusions; "
-                f"least-constrained bins {worst}", worst
-            )
+    weighted = design * weights[:, None]
+    col_norms = np.abs(weighted).sum(axis=0)
+    dead = [int(m) for m in np.nonzero(col_norms <= 1e-15 * max(col_norms.max(), 1.0))[0]]
+    if dead:
+        raise RankDeficientError(
+            f"bins {dead} receive no filter weight from the usable sequences", dead
+        )
+    if ridge == 0.0 and np.linalg.matrix_rank(weighted) < weighted.shape[1]:
+        _, _, vt = np.linalg.svd(weighted)
+        null = np.abs(vt[-1])
+        worst = [int(m) for m in np.argsort(null)[::-1][:3]]
+        raise RankDeficientError(
+            f"design matrix is rank deficient after exclusions; "
+            f"least-constrained bins {worst}", worst
+        )
     a, solution = _weighted_inversion(design, chi, weights, ridge)
     # Gauss-Newton standard errors on the support of the NNLS solution; a bin pinned at 0
     # gets its standard error were it free alongside the support
@@ -289,7 +287,9 @@ def bootstrap_spectrum(
     resamples: int,
     quantiles: tuple[float, float] = (0.025, 0.975),
     seed: int = 0,
-    **recon_kwargs,
+    bins: Optional[int] = None,
+    ridge: float = 0.0,
+    saturation_floor: float = DEFAULT_SATURATION_FLOOR,
 ) -> BootstrapSpectrum:
     """Trajectory-level bootstrap of the reconstruction.
 
@@ -303,10 +303,8 @@ def bootstrap_spectrum(
         raise ValueError("resamples must be >= 1")
     if any(r.trajectory_survivals is None for r in records):
         raise ValueError("records lack per-trajectory survivals (run with keep_raw=True)")
-    point = reconstruct_spectrum(records, filters, **recon_kwargs)
+    point = reconstruct_spectrum(records, filters, bins, ridge, saturation_floor)
     root = as_lineage(seed)
-    floor = recon_kwargs.get("saturation_floor", DEFAULT_SATURATION_FLOOR)
-    ridge = recon_kwargs.get("ridge", 0.0)
     design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
     means = np.empty(len(records))
     stderrs = np.empty(len(records))
@@ -316,7 +314,7 @@ def bootstrap_spectrum(
             raw = rec.trajectory_survivals
             means[i], stderrs[i] = _survival_stats(raw[rng.integers(0, raw.size, raw.size)],
                                                    rec.shots)
-        keep, chi, weights = _decays(means, stderrs, floor)
+        keep, chi, weights = _decays(means, stderrs, saturation_floor)
         if keep.any():  # an all-saturated resample contributes zeros
             _, values[b] = _weighted_inversion(design[keep], chi[keep], weights[keep], ridge)
     lo_q, hi_q = quantiles

@@ -4,7 +4,8 @@ Every artifact goes through one CSV writer, one CSV row reader with one cell
 parser, and one JSON reader/writer.  Floats are written with ``repr`` so a
 value survives a write/read cycle bit-exactly and identical runs produce
 identical bytes.  Readers accept finite numbers only and name the file (and,
-for CSV, the line and column) of the first bad value.
+for CSV, the line and column) of the first bad value.  One rule, ``field``,
+types and bounds every JSON key, in configs and in documents alike.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import dataclasses
 import json
 import math
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,6 +121,47 @@ def read_json(path):
         raise SchemaError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
+_MISSING = object()
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+
+def field(doc: dict, key: str, kind, default=_MISSING, *,
+          above=None, at_least=None, below=None, choices=None):
+    """``doc[key]`` as ``kind``, inside its domain: bounds or allowed values.
+
+    A key that has a default gives it when missing or null.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError(f"key '{key}': expected a JSON object holding it, got {doc!r}")
+    if doc.get(key) is None and default is not _MISSING:
+        return default
+    if key not in doc:
+        raise SchemaError(f"key '{key}': required but missing")
+    value = doc[key]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+        raise SchemaError(f"key '{key}': expected {kind.__name__}, got {value!r}")
+    bounds = [(op, bound) for op, bound in ((">", above), (">=", at_least), ("<", below))
+              if bound is not None]
+    if not all(_COMPARE[op](value, bound) for op, bound in bounds):
+        domain = " and ".join(f"{op} {bound}" for op, bound in bounds)
+        raise SchemaError(f"key '{key}': expected a number {domain}, got {value!r}")
+    if choices is not None and value not in choices:
+        *others, last = map(str, choices)
+        allowed = f"{', '.join(others)} or {last}" if others else last
+        raise SchemaError(f"key '{key}': expected {allowed}, got {value!r}")
+    return value
+
+
+def number_list(doc: dict, key: str, default=_MISSING) -> "list[float]":
+    """``doc[key]`` as a list of JSON numbers, each as a float."""
+    values = field(doc, key, list, default)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise SchemaError(f"key '{key}': expected a list of numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
 # -- spectra ----------------------------------------------------------------
 
 def write_spectrum_csv(path, spectrum: "Spectrum | SpectrumEstimate") -> None:
@@ -154,48 +197,43 @@ def write_spectrum_estimate_csv(
 
 # -- models ------------------------------------------------------------------
 
-def model_to_dict(model: ArmaModel) -> dict:
-    return {
+def write_model_json(path, model: ArmaModel) -> None:
+    write_json(path, {
         "ar": list(model.ar),
         "ma": list(model.ma),
         "drive_std": model.drive_std,
         "sample_period_s": model.sample_period,
-    }
-
-
-def write_model_json(path, model: ArmaModel) -> None:
-    write_json(path, model_to_dict(model))
+    })
 
 
 def read_model_json(path) -> ArmaModel:
     doc = read_json(path)
     try:
         return ArmaModel(
-            ar=tuple(doc["ar"]),
-            ma=tuple(doc["ma"]),
-            drive_std=float(doc["drive_std"]),
-            sample_period=float(doc["sample_period_s"]),
+            ar=number_list(doc, "ar"),
+            ma=number_list(doc, "ma"),
+            drive_std=field(doc, "drive_std", float),
+            sample_period=field(doc, "sample_period_s", float),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path}: invalid model document: {exc}") from exc
 
 
 # -- sequences ----------------------------------------------------------------
 
-def sequence_to_dict(seq: PulseSequence) -> dict:
-    return {
-        "label": seq.label,
-        "n_slots": seq.n_slots,
-        "gate_period_s": seq.gate_period,
-        "pulses": [
-            {"slot": slot, "sign": sign}
-            for slot, sign in zip(seq.pulse_slots, seq.pulse_signs)
-        ],
-    }
-
-
 def write_sequences_json(path, sequences: Sequence[PulseSequence]) -> None:
-    write_json(path, [sequence_to_dict(s) for s in sequences])
+    write_json(path, [
+        {
+            "label": seq.label,
+            "n_slots": seq.n_slots,
+            "gate_period_s": seq.gate_period,
+            "pulses": [
+                {"slot": slot, "sign": sign}
+                for slot, sign in zip(seq.pulse_slots, seq.pulse_signs)
+            ],
+        }
+        for seq in sequences
+    ])
 
 
 def read_sequences_json(path) -> "list[PulseSequence]":
@@ -205,14 +243,15 @@ def read_sequences_json(path) -> "list[PulseSequence]":
     out = {}
     for doc in docs:
         try:
+            pulses = field(doc, "pulses", list)
             seq = PulseSequence(
-                n_slots=int(doc["n_slots"]),
-                pulse_slots=tuple(p["slot"] for p in doc["pulses"]),
-                pulse_signs=tuple(p["sign"] for p in doc["pulses"]),
-                gate_period=float(doc["gate_period_s"]),
-                label=int(doc.get("label", 0)),
+                n_slots=field(doc, "n_slots", int),
+                pulse_slots=tuple(field(p, "slot", int) for p in pulses),
+                pulse_signs=tuple(field(p, "sign", int) for p in pulses),
+                gate_period=field(doc, "gate_period_s", float),
+                label=field(doc, "label", int, 0),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"{path}: invalid sequence document: {exc}") from exc
         if seq.label in out:
             raise SchemaError(f"{path}: label {seq.label}: repeated sequence document")
@@ -291,9 +330,9 @@ def check_records_match_sequences(
         seen.add(r.label)
 
 
-def read_records_csv(path, impute_stderr: bool = False) -> "list[ExperimentRecord]":
-    """Read records; with ``impute_stderr`` a missing/blank stderr column is
-    replaced by the simulator's floored binomial estimate (``_binomial_stderr``)."""
+def read_records_csv(path) -> "list[ExperimentRecord]":
+    """Read records; a missing or blank stderr is filled in with the simulator's
+    floored binomial estimate (``_binomial_stderr``)."""
     records = []
     for i, row in _csv_rows(path, [f for f in RECORD_FIELDS if f != "survival_stderr"]):
         mean = _cell(path, i, row, "survival_mean", lo=0.0, hi=1.0)
@@ -301,13 +340,8 @@ def read_records_csv(path, impute_stderr: bool = False) -> "list[ExperimentRecor
         trajectories = _cell(path, i, row, "trajectories", int, lo=1)
         if row.get("survival_stderr") not in ("", None):
             stderr = _cell(path, i, row, "survival_stderr", lo=0.0)
-        elif impute_stderr:
-            stderr = _binomial_stderr(mean, shots * trajectories)
         else:
-            raise SchemaError(
-                f"{path}: line {i}: survival_stderr missing (pass impute_stderr=True "
-                f"to fill in the binomial estimate)"
-            )
+            stderr = _binomial_stderr(mean, shots * trajectories)
         records.append(
             ExperimentRecord(
                 label=_cell(path, i, row, "seq_index", int),

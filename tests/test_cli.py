@@ -101,9 +101,7 @@ def test_records_stderr_imputation(tmp_path):
         "seq_index,n_pulses,survival_mean,survival_stderr,shots,trajectories,seed\n"
         "0,0,0.9,,1000,1,7\n"
     )
-    with pytest.raises(SchemaError, match="stderr"):
-        read_records_csv(path)
-    rec = read_records_csv(path, impute_stderr=True)[0]
+    rec = read_records_csv(path)[0]
     p_tilde = (900 + 0.5) / (1000 + 1)  # the simulator's floored binomial rule
     assert rec.survival_stderr == pytest.approx(np.sqrt(p_tilde * (1 - p_tilde) / 1000))
 
@@ -112,7 +110,7 @@ def test_records_stderr_imputation_all_success(tmp_path):
     # sqrt(p (1-p) / n) is 0 at p = 1, which would give the row an unbounded NNLS weight
     path = tmp_path / "hw.csv"
     path.write_text(RECORD_HEADER + "0,0,1.0,,100,10,7\n1,1,0.999,0.001,100,10,7\n")
-    rec = read_records_csv(path, impute_stderr=True)[0]
+    rec = read_records_csv(path)[0]
     p_tilde = (1000 + 0.5) / (1000 + 1)
     assert rec.survival_stderr == np.sqrt(p_tilde * (1 - p_tilde) / 1000) > 0
     # the same rule as the simulator's for a noiseless (all-success) record
@@ -686,6 +684,13 @@ def _bad_input_run(tmp_path, case):
         records.write_text(RECORD_HEADER)
         return "report", {"schema_version": 1, "records": str(records)}, records, False
     records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    if case == "out-dir-is-a-file":
+        (tmp_path / "out").write_text("")
+        return "report", {"schema_version": 1, "records": str(records)}, tmp_path / "out", False
+    if case.startswith("config-version-"):  # equal to 1 in Python, and once accepted
+        version = True if case == "config-version-bool" else 1.0
+        cfg = {"schema_version": version, "records": str(records)}
+        return "report", cfg, tmp_path / "cfg.json", False
     if case.startswith(("records-", "injected-", "model-", "sequences-", "raw-")):
         return _invalid_file_run(tmp_path, case, records, seqs, model, simulate)
     if case == "reconstruct-empty-sequences":
@@ -720,7 +725,12 @@ def _invalid_file_run(tmp_path, case, records, seqs, model, simulate):
         if case == "model-missing-ma":
             del doc["ma"]
         else:
-            doc["drive_std"] = "x"
+            doc.update({
+                "model-non-numeric-drive-std": {"drive_std": "x"},
+                "model-ar-string": {"ar": "05"},  # once read as ar = (0.0, 5.0)
+                "model-ma-string-entry": {"ma": ["0.5"]},
+                "model-drive-std-bool": {"drive_std": True},
+            }[case])
         model.write_text(json.dumps(doc))
         return "simulate", simulate, model, False
     if case == "sequences-missing-n-slots":
@@ -728,6 +738,16 @@ def _invalid_file_run(tmp_path, case, records, seqs, model, simulate):
         del docs[0]["n_slots"]
         seqs.write_text(json.dumps(docs))
         return "reconstruct", recon, seqs, False
+    if case.startswith("sequences-"):  # once truncated or coerced, and ingest exited 0
+        docs = json.loads(seqs.read_text())
+        if case == "sequences-n-slots-fraction":
+            docs[1]["n_slots"] = 16.5
+        elif case == "sequences-slot-fraction":
+            docs[1]["pulses"][0]["slot"] = 8.5
+        else:
+            docs[1]["label"] = True
+        seqs.write_text(json.dumps(docs))
+        return "ingest", recon, seqs, False
     raw = tmp_path / "records_raw.csv"  # the record expects one row, for sequence 0
     rows = "1,0,0.9\n" if case == "raw-no-rows-for-sequence" else "0,0,0.9\n0,1,0.8\n"
     raw.write_text("seq_index,trajectory,survival\n" + rows)
@@ -786,11 +806,14 @@ def _mismatch_run(tmp_path, case, records, seqs):
      "reconstruct-records-duplicate-row", "reconstruct-native-unknown-label",
      "reconstruct-native-wrong-n-pulses", "fit-unknown-label", "fit-wrong-n-pulses",
      "fit-duplicate-row", "fit-grid-mismatch", "reconstruct-repeated-label",
-     "config-not-object",
+     "config-not-object", "config-version-bool", "config-version-float", "out-dir-is-a-file",
      # files their readers reject
      "records-empty-file", "injected-descending-freqs", "injected-negative-psd",
      "model-missing-ma", "model-non-numeric-drive-std", "sequences-missing-n-slots",
-     "raw-no-rows-for-sequence", "raw-row-count-mismatch"],
+     "raw-no-rows-for-sequence", "raw-row-count-mismatch",
+     # documents whose numbers have the wrong JSON type
+     "model-ar-string", "model-ma-string-entry", "model-drive-std-bool",
+     "sequences-n-slots-fraction", "sequences-slot-fraction", "sequences-label-bool"],
 )
 def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     command, cfg, faulty, has_line = _bad_input_run(tmp_path, case)

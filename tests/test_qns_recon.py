@@ -206,7 +206,7 @@ def test_exclusion_matches_zero_weight(seqs, filters):
         )
         for r in records
     ]
-    est_zero = reconstruct_spectrum(boosted, filters, bins_like=est_drop, check_rank=False)
+    est_zero = reconstruct_spectrum(boosted, filters, bins_like=est_drop)
     assert np.allclose(est_zero.values, est_drop.values, rtol=1e-6, atol=1e-12)
 
 
@@ -477,9 +477,15 @@ def test_bootstrap_golden_digest(tmp_path, case, power, recon_kwargs, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-def test_bootstrap_returns_point_estimate(mc_run, filters):
+# each keyword moves the point estimate; a floor of 0.15 saturates the record at p = 0.641
+@pytest.mark.parametrize(
+    "keyword", [{"bins": 16}, {"ridge": 1e6}, {"saturation_floor": 0.15}],
+    ids=["bins", "ridge", "saturation_floor"],
+)
+def test_bootstrap_returns_point_estimate(mc_run, filters, keyword):
+    # the bootstrap's point estimate is reconstruct_spectrum's, with the same keyword
     _, records = mc_run
-    band = bootstrap_spectrum(records, filters, resamples=2, seed=1, ridge=1e6)
-    point = reconstruct_spectrum(records, filters, ridge=1e6)
+    band = bootstrap_spectrum(records, filters, resamples=2, seed=1, **keyword)
+    point = reconstruct_spectrum(records, filters, **keyword)
     for name in ("freqs", "values", "bin_edges", "stderr", "labels"):
         assert np.array_equal(getattr(band.point, name), getattr(point, name))
