@@ -180,22 +180,27 @@ def _synthesize_phases(model: ArmaModel, normals: np.ndarray) -> np.ndarray:
     """Scale unit normals by ``drive_std`` in place, ARMA-filter the last axis, drop the warm-up.
 
     Each row of ``normals`` is one trajectory: ``model.burn_in`` warm-up columns, then the
-    wanted steps.  Every synthesis path calls this, so all share one warm-up and filter.
-
-    A pure-MA output t depends only on inputs t-q..t, and ``burn_in >= q``, so only the
-    last q + steps columns are scaled and filtered, as a "valid" ``np.convolve`` per row.
-    That is the kernel ``lfilter``'s FIR path runs, so every kept output is bit-identical
-    to filtering the whole row.  AR models run ``lfilter`` over the whole row.
+    wanted steps.  A pure-MA model goes through :func:`_ma_filter` on the last q + steps
+    columns, which the simulator calls directly when it holds only those; AR models run
+    ``lfilter`` over the whole row.  So every synthesis path shares one warm-up and filter.
     """
     p, q = model.order
     if p == 0:
-        kept = normals[..., model.burn_in - q:]
-        kept *= model.drive_std
-        return np.apply_along_axis(np.convolve, -1, kept, np.asarray(model.ma), "valid")
+        return _ma_filter(model, normals[..., model.burn_in - q:])
     from scipy.signal import lfilter
 
     normals *= model.drive_std
     return lfilter(np.asarray(model.ma), model.ar_poly(), normals)[..., model.burn_in:]
+
+
+def _ma_filter(model: ArmaModel, kept: np.ndarray) -> np.ndarray:
+    """Scale a pure-MA model's last q + steps inputs per row in place; filter them to steps.
+
+    Output t reads only inputs t-q..t, and ``burn_in >= q``.  A "valid" ``np.convolve`` per
+    row is the kernel ``lfilter``'s FIR path runs, so every output equals a whole-row filter's.
+    """
+    kept *= model.drive_std
+    return np.apply_along_axis(np.convolve, -1, kept, np.asarray(model.ma), "valid")
 
 
 def _grid_freqs(grid_size: int, period: float) -> np.ndarray:

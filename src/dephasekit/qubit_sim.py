@@ -16,13 +16,14 @@ the pulses.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .noise_models import ArmaModel, Trajectory, autocovariance
-from .noise_models import _synthesize_phases
+from .noise_models import _ma_filter, _synthesize_phases
 from .seeds import (
     STREAM_INJECTED,
     STREAM_MEASUREMENT,
@@ -34,8 +35,10 @@ from .seeds import (
 from .sequences import PulseSequence, chi_time_domain
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# largest SDR injected block, in normals: 128 MiB of float64
+# most normals one SDR injected stream may draw; a pure-MA model holds only those it filters
 _MAX_SDR_NORMALS = 2**24
+# normals per SDR draw call: coarse enough that threads rarely wait on the GIL between draws
+_SDR_DRAW_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -203,18 +206,30 @@ def _survival_stats(fractions: np.ndarray, shots_each: int) -> tuple[float, floa
 
 
 def _unit_normals(
-    root: SeedLineage, label: int, stream: int, shape: "tuple[int, int]", sdr: bool = False
+    root: SeedLineage, label: int, stream: int, shape: "tuple[int, int]", sdr: bool = False,
+    keep: Optional[int] = None,
 ) -> np.ndarray:
-    """(rows, cols) unit normals of one sequence's stream: the one draw rule.
+    """The last ``keep`` (default all) columns of one sequence's (rows, cols) unit normals.
 
-    Gate mode draws row r from ``root.child(label, r, stream)``; SDR mode draws
-    the whole block from ``root.child(label, 0, stream)``.
+    The one draw rule: gate mode draws row r from ``root.child(label, r, stream)``; SDR
+    mode draws the whole block, row-major, from ``root.child(label, 0, stream)``.  Every
+    column is drawn, one row (gate) or about ``_SDR_DRAW_BLOCK`` normals (SDR) per call
+    into one reused buffer, so the kept values equal the full-width draw's.
     """
+    rows, cols = shape
+    out = np.empty((rows, cols if keep is None else keep))
+    skip = cols - out.shape[1]
     if sdr:
-        return root.child(label, 0, stream).generator().standard_normal(shape)
-    out = np.empty(shape)
-    for r, rng in root.child(label).row_generators(shape[0], stream):
-        rng.standard_normal(out=out[r])
+        rng = root.child(label, 0, stream).generator()
+        step = max(1, _SDR_DRAW_BLOCK // max(cols, 1))
+        starts = ((r, rng) for r in range(0, rows, step))
+    else:
+        step, starts = 1, root.child(label).row_generators(rows, stream)
+    buf = np.empty((min(step, rows), cols))
+    for r, rng in starts:
+        block = buf[:min(step, rows - r)]
+        rng.standard_normal(out=block)
+        out[r:r + len(block)] = block[:, skip:]
     return out
 
 
@@ -230,8 +245,10 @@ def _model_phases(
     """(rows, n_slots) slot phases of ``model`` on one stream; zero for a silent or absent model."""
     if model is None or model.drive_std == 0.0:
         return np.zeros((rows, n_slots))
-    normals = _unit_normals(root, label, stream, (rows, model.burn_in + n_slots), sdr)
-    return _synthesize_phases(model, normals)
+    p, q = model.order
+    normals = _unit_normals(root, label, stream, (rows, model.burn_in + n_slots), sdr,
+                            None if p else q + n_slots)
+    return _synthesize_phases(model, normals) if p else _ma_filter(model, normals)
 
 
 def _injected_gate_phases(
@@ -258,15 +275,21 @@ def _sdr_slot_phases(
 ) -> np.ndarray:
     """Per-shot phases at update period ``t_s`` (rows of ``phases``), accumulated onto slots."""
     n_shots, n_steps = phases.shape
-    cum = np.concatenate([np.zeros((n_shots, 1)), np.cumsum(phases, axis=1)], axis=1)
-    # piecewise-linear cumulative phase, sampled at slot boundaries
-    bounds = offsets[:, None] + gate_period * np.arange(n_slots + 1)[None, :]
-    x = bounds / t_s
+    cum = np.zeros((n_shots, n_steps + 1))
+    np.cumsum(phases, axis=1, out=cum[:, 1:])
+    # piecewise-linear cumulative phase at slot boundaries, lo + frac * (hi - lo) in place
+    x = np.add.outer(offsets, gate_period * np.arange(n_slots + 1))
+    x /= t_s
     i = np.clip(np.floor(x).astype(int), 0, n_steps - 1)
-    frac = x - i
-    rows = np.arange(n_shots)[:, None]
-    cum_at = cum[rows, i] + frac * (cum[rows, i + 1] - cum[rows, i])
-    return np.diff(cum_at, axis=1)
+    x -= i
+    lo = np.take_along_axis(cum, i, axis=1)
+    i += 1
+    hi = np.take_along_axis(cum, i, axis=1)
+    hi -= lo
+    hi *= x
+    hi += lo
+    # the slot phases are np.diff(hi), written over x, which is no longer read
+    return np.subtract(hi[:, 1:], hi[:, :-1], out=x[:, 1:])
 
 
 def run_experiment(
@@ -282,7 +305,8 @@ def run_experiment(
     """Simulate every sequence and return survival records, deterministic per seed.
 
     ``target_state``, both models' stability and the sample periods are checked
-    here, before any sequence runs.
+    here, before any sequence runs.  Sequences then run one per available CPU at a time;
+    each draws only its own streams, so the records do not depend on the worker count.
     """
     if not sequences:
         raise ValueError("at least one sequence is required")
@@ -308,8 +332,19 @@ def run_experiment(
                              f"block of {block} normals, above {_MAX_SDR_NORMALS}")
     else:
         raise ValueError(f"unsupported mode {mode!r}")
-    return [_run_sequence(s, model, native_model, perr, mode, root, target_state, keep_raw)
-            for s in sequences]
+    # lazy: concurrent.futures pulls in logging, about 25 ms of every CLI command's start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    args = (model, native_model, perr, mode, root, target_state, keep_raw)
+    with ThreadPoolExecutor(min(len(sequences), _cpu_count())) as pool:
+        return list(pool.map(lambda seq: _run_sequence(seq, *args), sequences))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: ``run_experiment`` runs that many sequences at once."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_sequence(

@@ -1,12 +1,14 @@
 """Simulator tests: unitary-propagation oracles, mode equivalence, seeding."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dephasekit import qubit_sim
 from dephasekit.noise_models import (
     ArmaModel,
     Trajectory,
@@ -17,16 +19,25 @@ from dephasekit.noise_models import (
     generate_trajectory,
 )
 from dephasekit.qubit_sim import (
+    _SDR_DRAW_BLOCK,
     GateMode,
     PulseErrorModel,
     SdrMode,
+    _model_phases,
     _propagate,
     _sdr_slot_phases,
+    _unit_normals,
     analytic_survival,
     run_experiment,
     run_shot,
 )
-from dephasekit.seeds import STREAM_INJECTED, STREAM_MEASUREMENT, SeedLineage
+from dephasekit.seeds import (
+    STREAM_INJECTED,
+    STREAM_MEASUREMENT,
+    STREAM_NATIVE,
+    STREAM_PULSE_JITTER,
+    SeedLineage,
+)
 from dephasekit.sequences import PulseSequence, make_fttps, make_rfttps, switching_function
 from dephasekit.serialize import records_to_csv_text
 
@@ -371,6 +382,126 @@ def test_sdr_run_builds_no_generator_for_silent_model(monkeypatch):
     run_experiment(make_fttps(4, N, T_G), silent,
                    mode=SdrMode(shots=20, phase_update_period=T_G), seed=5)
     assert sorted(built) == [(k, 0, STREAM_MEASUREMENT) for k in range(4)]
+
+
+# ---------------------------------------------------------------------------
+# the lean draw and the sequence pool
+# ---------------------------------------------------------------------------
+
+
+def _full_width_normals(root, label, stream, shape, sdr):
+    """One sequence's stream drawn the plain way: one call per gate row, one SDR block."""
+    if sdr:
+        return root.child(label, 0, stream).generator().standard_normal(shape)
+    rows, cols = shape
+    return np.array([root.child(label, r, stream).generator().standard_normal(cols)
+                     for r in range(rows)]).reshape(shape)
+
+
+@pytest.mark.parametrize(
+    "sdr, shape, keep",
+    [
+        (False, (7, 300), 40),
+        (False, (7, 300), None),
+        (False, (3, 0), None),
+        (True, (5, 300), 40),
+        # 131 rows per block: two whole blocks and a partial one, then exactly two blocks
+        (True, (300, 1000), 228),
+        (True, (2 * _SDR_DRAW_BLOCK // 1000, 1000), 1),
+        # a row wider than a block is drawn one row per call
+        (True, (3, _SDR_DRAW_BLOCK + 5), 17),
+        (True, (300, 1000), None),
+        # a sequence without pulses has a zero-width jitter block
+        (True, (600, 0), None),
+        (True, (600, 0), 0),
+    ],
+)
+def test_lean_draw_equals_trailing_columns_of_full_draw(sdr, shape, keep):
+    root = SeedLineage(41)
+    full = _full_width_normals(root, 5, STREAM_NATIVE, shape, sdr)
+    got = _unit_normals(root, 5, STREAM_NATIVE, shape, sdr, keep)
+    kept = shape[1] if keep is None else keep
+    assert got.shape == (shape[0], kept)
+    assert np.array_equal(got, full[:, shape[1] - kept:])
+
+
+@pytest.mark.parametrize("sdr", [False, True], ids=["gate", "sdr"])
+@pytest.mark.parametrize(
+    "model",
+    [
+        design_bandpass(2.0e6, 0.5e6, 1e-3, T_G, taps=101),
+        ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G),
+    ],
+    ids=["ma-101-taps", "ar2"],
+)
+def test_model_phases_equal_full_width_synthesis(model, sdr):
+    # a pure-MA model holds only the columns its filter reads, an AR model whole rows;
+    # either way the phases are those of synthesizing the full-width draw
+    root = SeedLineage(43)
+    shape = (150, model.burn_in + N)
+    expected = _synthesize_phases(model, _full_width_normals(root, 2, STREAM_INJECTED, shape, sdr))
+    got = _model_phases(model, root, 2, STREAM_INJECTED, shape[0], N, sdr)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        GateMode(trajectories=12, shots_per_trajectory=40),
+        SdrMode(shots=90, phase_update_period=70e-9),
+    ],
+    ids=["gate", "sdr"],
+)
+def test_worker_count_does_not_change_records(mode, monkeypatch):
+    period = getattr(mode, "phase_update_period", T_G)
+    model = design_bandpass(2.0e6, 0.5e6, 1e-3, period, taps=101)
+    native = ArmaModel(ar=(0.5,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+    perr = PulseErrorModel(over_rotation=0.01, jitter_std=0.02)
+    seqs = make_rfttps(7, N, T_G)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(qubit_sim, "_cpu_count", lambda workers=workers: workers)
+        runs.append(run_experiment(seqs, model, native_model=native, pulse_errors=perr,
+                                   mode=mode, seed=37, keep_raw=True))
+    serial, pooled = runs
+    assert [r.label for r in pooled] == [s.label for s in seqs]
+    assert serial == pooled
+    for a, b in zip(serial, pooled):
+        assert np.array_equal(a.trajectory_survivals, b.trajectory_survivals)
+
+
+def test_worker_error_reaches_caller_unchanged(monkeypatch):
+    raised = ValueError("phase array does not match sequence slot count")
+    propagate = qubit_sim._propagate
+
+    def failing(phases, seq, *args):
+        if seq.label == 2:
+            raise raised
+        return propagate(phases, seq, *args)
+
+    monkeypatch.setattr(qubit_sim, "_propagate", failing)
+    monkeypatch.setattr(qubit_sim, "_cpu_count", lambda: 3)
+    with pytest.raises(ValueError) as info:
+        run_experiment(make_fttps(5, N, T_G), WHITE_01, mode=GateMode(3, 10), seed=1)
+    assert info.value is raised
+
+
+def test_gate_run_holds_only_filtered_columns():
+    # the 257-tap model warms up over 2570 columns and filters only the last 256 + 128:
+    # a run must peak below the full-width block of 300 x (2570 + 128) float64 normals
+    model = design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G)
+    seq = make_fttps(8, N, T_G)[3]
+    mode = GateMode(trajectories=300, shots_per_trajectory=100)
+    run_experiment([seq], model, mode=mode, seed=3)
+    full_width = 300 * (model.burn_in + N) * 8
+    tracemalloc.start()
+    try:
+        run_experiment([seq], model, mode=mode, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.burn_in == 2570 and full_width == 6_475_200
+    assert peak < full_width
 
 
 def test_gate_mode_survival_clipped_to_unit_interval():
