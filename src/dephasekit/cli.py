@@ -225,7 +225,7 @@ def cmd_reconstruct(config: dict, args, out: Path) -> None:
         "saturation_floor": floor,
         "excluded_sequences": [r.label for r in records if r.label not in estimate.labels],
         "bins": len(estimate.values),
-        "seed": records[0].seed if records else None,
+        "seed": records[0].seed,
         "integrated_power_rad2": estimate.integrated_power(),
     }
     if delta_path is not None:

@@ -30,6 +30,8 @@ from .seeds import SeedLineage, as_lineage
 DEFAULT_GRID_SIZE = 4097
 DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
+# normals per draw call from one generator: coarse enough that threads rarely wait on the GIL
+_SDR_DRAW_BLOCK = 2**17
 
 
 class UnstableModelError(ValueError):
@@ -164,43 +166,68 @@ class Trajectory:
 def generate_trajectory(model: ArmaModel, length: int, seed: "int | SeedLineage") -> Trajectory:
     """Draw one stationary trajectory of ``length`` phase increments.
 
-    ``model.burn_in + length`` unit normals from the seed's generator go through
-    :func:`_synthesize_phases`; the output is deterministic per (model, length, seed).
+    It is the one row of :func:`_model_phases` drawn at the seed's lineage, so it equals row 0
+    of any SDR block drawn there; the output is deterministic per (model, length, seed).
     """
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     model.check_stable()
     lineage = as_lineage(seed)
-    normals = lineage.generator().standard_normal(model.burn_in + length)
-    phases = _synthesize_phases(model, normals)
+    phases = _model_phases(model, lineage, 1, length)[0]
     return Trajectory(phases=phases, sample_period=model.sample_period, seed_lineage=lineage)
 
 
-def _synthesize_phases(model: ArmaModel, normals: np.ndarray) -> np.ndarray:
-    """Scale unit normals by ``drive_std`` in place, ARMA-filter the last axis, drop the warm-up.
+def _unit_normals(source, shape: "tuple[int, int]", keep: "int | None" = None) -> np.ndarray:
+    """The last ``keep`` (default all) columns of a (rows, cols) block of unit normals.
 
-    Each row of ``normals`` is one trajectory: ``model.burn_in`` warm-up columns, then the
-    wanted steps.  A pure-MA model goes through :func:`_ma_filter` on the last q + steps
-    columns, which the simulator calls directly when it holds only those; AR models run
-    ``lfilter`` over the whole row.  So every synthesis path shares one warm-up and filter.
+    The one draw rule.  A :class:`SeedLineage` source draws the block row-major from its one
+    generator, about ``_SDR_DRAW_BLOCK`` normals per call; any other source yields ``(r, rng)``
+    pairs, as ``SeedLineage.row_generators`` does, and row r is one call on its ``rng``.
+    Every column is drawn into one reused buffer, so the kept values equal the full draw's.
     """
+    rows, cols = shape
+    out = np.empty((rows, cols if keep is None else keep))
+    skip, step = cols - out.shape[1], 1
+    if isinstance(source, SeedLineage):
+        rng = source.generator()
+        step = max(1, _SDR_DRAW_BLOCK // max(cols, 1))
+        source = ((r, rng) for r in range(0, rows, step))
+    buf = np.empty((min(step, rows), cols))
+    for r, rng in source:
+        block = buf[:min(step, rows - r)]
+        rng.standard_normal(out=block)
+        out[r:r + len(block)] = block[:, skip:]
+    return out
+
+
+def _model_phases(model: "ArmaModel | None", source, rows: int, steps: int) -> np.ndarray:
+    """(rows, steps) phases of ``model``, each row drawn from ``source`` by :func:`_unit_normals`.
+
+    The one synthesizer.  A silent or absent model gives zeros and draws nothing.  Otherwise a
+    row is ``burn_in + steps`` normals, of which a pure-MA model keeps the last q + steps, all
+    its filter reads, and an AR model keeps all.
+    """
+    if model is None or model.drive_std == 0.0:
+        return np.zeros((rows, steps))
     p, q = model.order
-    if p == 0:
-        return _ma_filter(model, normals[..., model.burn_in - q:])
-    from scipy.signal import lfilter
-
-    normals *= model.drive_std
-    return lfilter(np.asarray(model.ma), model.ar_poly(), normals)[..., model.burn_in:]
+    normals = _unit_normals(source, (rows, model.burn_in + steps), None if p else q + steps)
+    return _synthesize_phases(model, normals, steps)
 
 
-def _ma_filter(model: ArmaModel, kept: np.ndarray) -> np.ndarray:
-    """Scale a pure-MA model's last q + steps inputs per row in place; filter them to steps.
+def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:
+    """Scale unit normals by ``drive_std`` in place, ARMA-filter the last axis, keep ``steps``.
 
-    Output t reads only inputs t-q..t, and ``burn_in >= q``.  A "valid" ``np.convolve`` per
-    row is the kernel ``lfilter``'s FIR path runs, so every output equals a whole-row filter's.
+    A pure-MA model's output t reads only inputs t-q..t; a "valid" ``np.convolve`` per row is
+    the kernel ``lfilter``'s FIR path runs, so every output equals a whole-row filter's.
     """
-    kept *= model.drive_std
-    return np.apply_along_axis(np.convolve, -1, kept, np.asarray(model.ma), "valid")
+    normals *= model.drive_std
+    if model.order[0] == 0:
+        phases = np.apply_along_axis(np.convolve, -1, normals, np.asarray(model.ma), "valid")
+    else:
+        from scipy.signal import lfilter
+
+        phases = lfilter(np.asarray(model.ma), model.ar_poly(), normals)
+    return phases[..., -steps:]
 
 
 def _grid_freqs(grid_size: int, period: float) -> np.ndarray:

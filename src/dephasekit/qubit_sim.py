@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise_models import ArmaModel, Trajectory, autocovariance
-from .noise_models import _ma_filter, _synthesize_phases
+from .noise_models import ArmaModel, Trajectory, _model_phases, _unit_normals, autocovariance
 from .seeds import (
     STREAM_INJECTED,
     STREAM_MEASUREMENT,
@@ -37,8 +36,6 @@ from .sequences import PulseSequence, chi_time_domain
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # most normals one SDR injected stream may draw; a pure-MA model holds only those it filters
 _MAX_SDR_NORMALS = 2**24
-# normals per SDR draw call: coarse enough that threads rarely wait on the GIL between draws
-_SDR_DRAW_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -154,31 +151,33 @@ def run_shot(
 
     With perfect pulses this equals (1 + cos Phi) / 2 where Phi is the
     switching-function-weighted sum of the slot phases, to 1e-12 absolute.
+    Both trajectories must be sampled at the gate period and cover every slot.
     """
     n = seq.n_slots
-    if len(trajectory) < n:
-        raise ValueError(f"trajectory has {len(trajectory)} steps, sequence needs {n}")
-    phases = trajectory.phases[:n].copy()
+    for traj, role in ((trajectory, "trajectory"), (native, "native trajectory")):
+        if traj is not None:
+            _check_gate_aligned(traj, seq.gate_period, role)
+            if len(traj) < n:
+                raise ValueError(f"{role} has {len(traj)} steps, sequence needs {n}")
+    phases = trajectory.phases[:n]
     if native is not None:
-        if len(native) < n:
-            raise ValueError(f"native trajectory has {len(native)} steps, sequence needs {n}")
         phases = phases + native.phases[:n]
     perr = pulse_errors or PulseErrorModel()
-    rng = as_lineage(seed).generator()
-    jitter = perr.jitter_std * rng.standard_normal((1, seq.n_pulses))
+    jitter = perr.jitter_std * _unit_normals(as_lineage(seed), (1, seq.n_pulses))
     p = _propagate(phases[None, :], seq, perr.over_rotation, jitter, target_state)
     return float(p[0])
 
 
 def _check_gate_aligned(
-    model: Optional[ArmaModel], period: float, role: str, period_name: str = "the gate period"
+    sampled: "ArmaModel | Trajectory | None", period: float, role: str,
+    period_name: str = "the gate period",
 ) -> None:
-    """Reject a model whose sample period is not ``period`` (the gate period by default)."""
-    if model is None:
+    """Reject a model or trajectory not sampled at ``period`` (the gate period by default)."""
+    if sampled is None:
         return
-    if not np.isclose(model.sample_period, period, rtol=1e-9, atol=0.0):
+    if not np.isclose(sampled.sample_period, period, rtol=1e-9, atol=0.0):
         raise ValueError(
-            f"{role} model sample_period {model.sample_period!r} must equal "
+            f"{role} sample_period {sampled.sample_period!r} must equal "
             f"{period_name} {period!r}"
         )
 
@@ -205,52 +204,6 @@ def _survival_stats(fractions: np.ndarray, shots_each: int) -> tuple[float, floa
     return mean, max(scatter, _binomial_stderr(mean, n_traj * shots_each))
 
 
-def _unit_normals(
-    root: SeedLineage, label: int, stream: int, shape: "tuple[int, int]", sdr: bool = False,
-    keep: Optional[int] = None,
-) -> np.ndarray:
-    """The last ``keep`` (default all) columns of one sequence's (rows, cols) unit normals.
-
-    The one draw rule: gate mode draws row r from ``root.child(label, r, stream)``; SDR
-    mode draws the whole block, row-major, from ``root.child(label, 0, stream)``.  Every
-    column is drawn, one row (gate) or about ``_SDR_DRAW_BLOCK`` normals (SDR) per call
-    into one reused buffer, so the kept values equal the full-width draw's.
-    """
-    rows, cols = shape
-    out = np.empty((rows, cols if keep is None else keep))
-    skip = cols - out.shape[1]
-    if sdr:
-        rng = root.child(label, 0, stream).generator()
-        step = max(1, _SDR_DRAW_BLOCK // max(cols, 1))
-        starts = ((r, rng) for r in range(0, rows, step))
-    else:
-        step, starts = 1, root.child(label).row_generators(rows, stream)
-    buf = np.empty((min(step, rows), cols))
-    for r, rng in starts:
-        block = buf[:min(step, rows - r)]
-        rng.standard_normal(out=block)
-        out[r:r + len(block)] = block[:, skip:]
-    return out
-
-
-def _model_phases(
-    model: Optional[ArmaModel],
-    root: SeedLineage,
-    label: int,
-    stream: int,
-    rows: int,
-    n_slots: int,
-    sdr: bool = False,
-) -> np.ndarray:
-    """(rows, n_slots) slot phases of ``model`` on one stream; zero for a silent or absent model."""
-    if model is None or model.drive_std == 0.0:
-        return np.zeros((rows, n_slots))
-    p, q = model.order
-    normals = _unit_normals(root, label, stream, (rows, model.burn_in + n_slots), sdr,
-                            None if p else q + n_slots)
-    return _synthesize_phases(model, normals) if p else _ma_filter(model, normals)
-
-
 def _injected_gate_phases(
     seq: PulseSequence, model: ArmaModel, trajectories: int, seed: "int | SeedLineage"
 ) -> np.ndarray:
@@ -260,9 +213,9 @@ def _injected_gate_phases(
     STREAM_INJECTED))``.  The model must be stable and sampled at the gate period.
     """
     model.check_stable()
-    _check_gate_aligned(model, seq.gate_period, "injected")
-    root = as_lineage(seed)
-    return _model_phases(model, root, seq.label, STREAM_INJECTED, trajectories, seq.n_slots)
+    _check_gate_aligned(model, seq.gate_period, "injected model")
+    rows = as_lineage(seed).child(seq.label).row_generators(trajectories, STREAM_INJECTED)
+    return _model_phases(model, rows, trajectories, seq.n_slots)
 
 
 def _sdr_steps(seq: PulseSequence, model: ArmaModel, mode: SdrMode) -> int:
@@ -320,11 +273,11 @@ def run_experiment(
     gate_period = sequences[0].gate_period
     if any(not np.isclose(s.gate_period, gate_period, rtol=1e-12) for s in sequences):
         raise ValueError("all sequences must share one gate period")
-    _check_gate_aligned(native_model, gate_period, "native")
+    _check_gate_aligned(native_model, gate_period, "native model")
     if isinstance(mode, GateMode):
-        _check_gate_aligned(model, gate_period, "injected")
+        _check_gate_aligned(model, gate_period, "injected model")
     elif isinstance(mode, SdrMode):
-        _check_gate_aligned(model, mode.phase_update_period, "injected",
+        _check_gate_aligned(model, mode.phase_update_period, "injected model",
                             "the SDR phase_update_period")
         block = mode.shots * (model.burn_in + max(_sdr_steps(s, model, mode) for s in sequences))
         if block > _MAX_SDR_NORMALS:
@@ -360,20 +313,25 @@ def _run_sequence(
     """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots."""
     k, sdr = seq.label, isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
+
+    def source(stream: int):
+        """Gate row r is drawn at (k, r, stream), the SDR block at (k, 0, stream)."""
+        return root.child(k, 0, stream) if sdr else root.child(k).row_generators(rows, stream)
+
     if sdr:
         rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
         offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
         phases = _sdr_slot_phases(
-            _model_phases(model, root, k, STREAM_INJECTED, rows, _sdr_steps(seq, model, mode), sdr),
+            _model_phases(model, source(STREAM_INJECTED), rows, _sdr_steps(seq, model, mode)),
             model.sample_period, seq.n_slots, seq.gate_period, offsets,
         )
     else:
-        phases = _model_phases(model, root, k, STREAM_INJECTED, rows, seq.n_slots)
-    phases = phases + _model_phases(native_model, root, k, STREAM_NATIVE, rows, seq.n_slots, sdr)
+        phases = _model_phases(model, source(STREAM_INJECTED), rows, seq.n_slots)
+    phases = phases + _model_phases(native_model, source(STREAM_NATIVE), rows, seq.n_slots)
     jitter = np.zeros((rows, seq.n_pulses))
     if perr.jitter_std > 0:
-        jitter = perr.jitter_std * _unit_normals(root, k, STREAM_PULSE_JITTER, jitter.shape, sdr)
+        jitter = perr.jitter_std * _unit_normals(source(STREAM_PULSE_JITTER), jitter.shape)
     p = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     if sdr:
         shots, fractions = 1, (rng_meas.random(rows) < p).astype(float)
@@ -404,6 +362,6 @@ def analytic_survival(
     for m in (model, native_model):
         if m is None or m.drive_std == 0.0:
             continue
-        _check_gate_aligned(m, seq.gate_period, "analytic")
+        _check_gate_aligned(m, seq.gate_period, "analytic model")
         chi += chi_time_domain(seq, autocovariance(m, seq.n_slots - 1))
     return 0.5 + 0.5 * np.exp(-chi)

@@ -10,6 +10,7 @@ types and bounds every JSON key, in configs and in documents alike.
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import json
@@ -294,23 +295,31 @@ def write_raw_survivals_csv(path, records: Sequence[ExperimentRecord]) -> None:
 def read_raw_survivals_csv(
     path, records: Sequence[ExperimentRecord]
 ) -> "list[ExperimentRecord]":
-    """Attach per-trajectory survivals from a sidecar file to matching records."""
-    raw: "dict[int, list[float]]" = {}
-    for i, row in _csv_rows(path, RAW_SURVIVAL_FIELDS):
-        label = _cell(path, i, row, "seq_index", int)
-        raw.setdefault(label, []).append(_cell(path, i, row, "survival", lo=0.0, hi=1.0))
-    out = []
+    """Attach per-trajectory survivals from a sidecar file to matching records.
+
+    Each survival goes to its ``trajectory`` index, so the rows may come in any order.
+    """
+    rows = [(i, _cell(path, i, row, "seq_index", int), _cell(path, i, row, "trajectory", int),
+             _cell(path, i, row, "survival", lo=0.0, hi=1.0))
+            for i, row in _csv_rows(path, RAW_SURVIVAL_FIELDS)]
+    counts = collections.Counter(label for _, label, _, _ in rows)
     for r in records:
-        if r.label not in raw:
+        if not counts[r.label]:
             raise SchemaError(f"{path}: no rows for sequence {r.label}")
-        values = np.array(raw[r.label])
-        if values.size != r.trajectories:
-            raise SchemaError(
-                f"{path}: sequence {r.label} has {values.size} rows, "
-                f"record expects {r.trajectories}"
-            )
-        out.append(dataclasses.replace(r, trajectory_survivals=values))
-    return out
+        if counts[r.label] != r.trajectories:
+            raise SchemaError(f"{path}: sequence {r.label} has {counts[r.label]} rows, "
+                              f"record expects {r.trajectories}")
+    raw = {r.label: np.full(r.trajectories, np.nan) for r in records}
+    for i, label, t, survival in rows:
+        values = raw.get(label)
+        if values is None:
+            raise SchemaError(f"{path}: line {i}: seq_index {label}: no matching record")
+        if not 0 <= t < values.size:
+            raise SchemaError(f"{path}: line {i}: trajectory {t} outside [0, {values.size})")
+        if not math.isnan(values[t]):  # survivals are finite, so nan marks a place not yet filled
+            raise SchemaError(f"{path}: line {i}: trajectory {t} of sequence {label} repeated")
+        values[t] = survival
+    return [dataclasses.replace(r, trajectory_survivals=raw[r.label]) for r in records]
 
 
 def check_records_match_sequences(

@@ -24,6 +24,7 @@ from dephasekit.serialize import write_raw_survivals_csv
 
 T_G = 100e-9
 MODEL = ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G)
+SLOW = ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=2 * T_G)
 
 
 def _seqs():
@@ -86,6 +87,15 @@ CASES = {
         lambda: run_shot(_seqs()[0], generate_trajectory(MODEL, 16, 0),
                          native=generate_trajectory(MODEL, 4, 1)),
         "native trajectory has 4 steps, sequence needs 16",
+    ),
+    "shot-trajectory-period": (
+        lambda: run_shot(_seqs()[0], generate_trajectory(SLOW, 16, 0)),
+        "^trajectory sample_period 2e-07 must equal the gate period 1e-07",
+    ),
+    "shot-native-period": (
+        lambda: run_shot(_seqs()[0], generate_trajectory(MODEL, 16, 0),
+                         native=generate_trajectory(SLOW, 16, 1)),
+        "native trajectory sample_period 2e-07 must equal the gate period 1e-07",
     ),
     "reconstruct-bins": (lambda: reconstruct_spectrum(_records(), _filters(), bins=0),
                          "bins must be >= 1"),

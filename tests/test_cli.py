@@ -1,5 +1,6 @@
 """CLI and serialization tests: full pipelines on disk, schema errors, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -236,6 +237,20 @@ def test_records_and_raw_survivals_csv_roundtrip_bit_exact(tmp_path, records):
             [b.survival_mean, b.survival_stderr]
         )
         assert _bits(r.trajectory_survivals) == _bits(b.trajectory_survivals)
+
+
+def test_raw_survivals_read_back_in_any_row_order(tmp_path):
+    # each survival is placed by its trajectory column, not by its row's position in the file
+    records = [ExperimentRecord(k, k, 0.9, 0.01, 10, 40, 7, np.random.default_rng(k).random(40))
+               for k in range(8)]
+    write_raw_survivals_csv(tmp_path / "raw.csv", records)
+    header, *lines = (tmp_path / "raw.csv").read_text().splitlines()
+    shuffled = [lines[i] for i in np.random.default_rng(0).permutation(len(lines))]
+    (tmp_path / "shuffled.csv").write_text("\n".join([header] + shuffled) + "\n")
+    bare = [ExperimentRecord(*dataclasses.astuple(r)[:7]) for r in records]
+    back = read_raw_survivals_csv(tmp_path / "shuffled.csv", bare)
+    for r, b in zip(records, back):
+        assert _bits(b.trajectory_survivals) == _bits(r.trajectory_survivals)
 
 
 @ROUND_TRIP
@@ -749,9 +764,19 @@ def _invalid_file_run(tmp_path, case, records, seqs, model, simulate):
         seqs.write_text(json.dumps(docs))
         return "ingest", recon, seqs, False
     raw = tmp_path / "records_raw.csv"  # the record expects one row, for sequence 0
-    rows = "1,0,0.9\n" if case == "raw-no-rows-for-sequence" else "0,0,0.9\n0,1,0.8\n"
+    rows = {
+        "raw-no-rows-for-sequence": "1,0,0.9\n",
+        "raw-row-count-mismatch": "0,0,0.9\n0,1,0.8\n",
+        "raw-no-matching-record": "0,0,0.9\n5,0,0.8\n",  # once dropped unread
+        # the record below expects two rows; each file places one survival twice or nowhere
+        "raw-repeated-trajectory": "0,0,0.9\n0,0,0.8\n",
+        "raw-trajectory-out-of-range": "0,0,0.9\n0,2,0.8\n",
+    }[case]
+    if case in ("raw-repeated-trajectory", "raw-trajectory-out-of-range"):
+        records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,2,7\n")
     raw.write_text("seq_index,trajectory,survival\n" + rows)
-    return "reconstruct", dict(recon, bootstrap_resamples=10, raw_survivals=str(raw)), raw, False
+    has_line = case not in ("raw-no-rows-for-sequence", "raw-row-count-mismatch")
+    return "reconstruct", dict(recon, bootstrap_resamples=10, raw_survivals=str(raw)), raw, has_line
 
 
 def _mismatch_run(tmp_path, case, records, seqs):
@@ -810,7 +835,8 @@ def _mismatch_run(tmp_path, case, records, seqs):
      # files their readers reject
      "records-empty-file", "injected-descending-freqs", "injected-negative-psd",
      "model-missing-ma", "model-non-numeric-drive-std", "sequences-missing-n-slots",
-     "raw-no-rows-for-sequence", "raw-row-count-mismatch",
+     "raw-no-rows-for-sequence", "raw-row-count-mismatch", "raw-no-matching-record",
+     "raw-repeated-trajectory", "raw-trajectory-out-of-range",
      # documents whose numbers have the wrong JSON type
      "model-ar-string", "model-ma-string-entry", "model-drive-std-bool",
      "sequences-n-slots-fraction", "sequences-slot-fraction", "sequences-label-bool"],

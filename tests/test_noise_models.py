@@ -135,7 +135,7 @@ def test_ma_synthesis_equals_full_lfilter(ma, length, rows, drive_std, seed):
     shape = (model.burn_in + length,) if rows is None else (rows, model.burn_in + length)
     normals = np.random.default_rng(seed).standard_normal(shape)
     expected = lfilter_synthesis(model, normals)
-    assert np.array_equal(_synthesize_phases(model, normals.copy()), expected)
+    assert np.array_equal(_synthesize_phases(model, normals.copy(), length), expected)
 
 
 @pytest.mark.parametrize("rows", [None, 4])
@@ -143,7 +143,7 @@ def test_ar_synthesis_is_full_lfilter(rows):
     model = ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.5, sample_period=T_S)
     shape = (model.burn_in + 64,) if rows is None else (rows, model.burn_in + 64)
     normals = np.random.default_rng(5).standard_normal(shape)
-    got = _synthesize_phases(model, normals.copy())
+    got = _synthesize_phases(model, normals.copy(), 64)
     assert np.array_equal(got, lfilter_synthesis(model, normals))
 
 

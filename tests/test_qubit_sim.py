@@ -10,23 +10,23 @@ from hypothesis import strategies as st
 
 from dephasekit import qubit_sim
 from dephasekit.noise_models import (
+    _SDR_DRAW_BLOCK,
     ArmaModel,
     Trajectory,
+    _model_phases,
     _synthesize_phases,
+    _unit_normals,
     design_bandpass,
     design_lorentzian,
     design_power_law,
     generate_trajectory,
 )
 from dephasekit.qubit_sim import (
-    _SDR_DRAW_BLOCK,
     GateMode,
     PulseErrorModel,
     SdrMode,
-    _model_phases,
     _propagate,
     _sdr_slot_phases,
-    _unit_normals,
     analytic_survival,
     run_experiment,
     run_shot,
@@ -398,6 +398,11 @@ def _full_width_normals(root, label, stream, shape, sdr):
                      for r in range(rows)]).reshape(shape)
 
 
+def _source(root, label, stream, rows, sdr):
+    """Where the simulator draws one sequence's stream: one SDR block, or a generator per row."""
+    return root.child(label, 0, stream) if sdr else root.child(label).row_generators(rows, stream)
+
+
 @pytest.mark.parametrize(
     "sdr, shape, keep",
     [
@@ -419,7 +424,7 @@ def _full_width_normals(root, label, stream, shape, sdr):
 def test_lean_draw_equals_trailing_columns_of_full_draw(sdr, shape, keep):
     root = SeedLineage(41)
     full = _full_width_normals(root, 5, STREAM_NATIVE, shape, sdr)
-    got = _unit_normals(root, 5, STREAM_NATIVE, shape, sdr, keep)
+    got = _unit_normals(_source(root, 5, STREAM_NATIVE, shape[0], sdr), shape, keep)
     kept = shape[1] if keep is None else keep
     assert got.shape == (shape[0], kept)
     assert np.array_equal(got, full[:, shape[1] - kept:])
@@ -439,9 +444,26 @@ def test_model_phases_equal_full_width_synthesis(model, sdr):
     # either way the phases are those of synthesizing the full-width draw
     root = SeedLineage(43)
     shape = (150, model.burn_in + N)
-    expected = _synthesize_phases(model, _full_width_normals(root, 2, STREAM_INJECTED, shape, sdr))
-    got = _model_phases(model, root, 2, STREAM_INJECTED, shape[0], N, sdr)
+    full = _full_width_normals(root, 2, STREAM_INJECTED, shape, sdr)
+    expected = _synthesize_phases(model, full, N)
+    got = _model_phases(model, _source(root, 2, STREAM_INJECTED, shape[0], sdr), shape[0], N)
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        design_bandpass(2.0e6, 0.5e6, 1e-3, T_G, taps=101),
+        ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G),
+    ],
+    ids=["ma-101-taps", "ar2"],
+)
+def test_sdr_block_row_zero_is_generate_trajectory(model):
+    # one draw rule and one synthesizer: the first shot of an SDR block is the trajectory
+    # generate_trajectory draws at the block's lineage
+    lineage = SeedLineage(43).child(2, 0, STREAM_INJECTED)
+    block = _model_phases(model, lineage, 150, N)
+    assert np.array_equal(block[0], generate_trajectory(model, N, lineage).phases)
 
 
 @pytest.mark.parametrize(
@@ -549,7 +571,7 @@ def test_sdr_resampling_identity_when_aligned():
     # t_s = t_G with zero offset: slot accumulation returns the raw steps
     rng = np.random.default_rng(8)
     model = ArmaModel(ar=(), ma=(0.3,), drive_std=1.0, sample_period=T_G)
-    block = _synthesize_phases(model, rng.standard_normal((6, model.burn_in + N + 3)))
+    block = _synthesize_phases(model, rng.standard_normal((6, model.burn_in + N + 3)), N + 3)
     got = _sdr_slot_phases(block, T_G, N, T_G, np.zeros(6))
     rng2 = np.random.default_rng(8)
     burn = model.burn_in
