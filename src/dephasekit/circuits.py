@@ -112,8 +112,6 @@ def parse_circuit(text: str) -> ParsedCircuit:
             n_x_type += 1
             pulse_slots.append(len(phases))
             pulse_signs.append(1 if name == "x" else -1)
-        else:  # pragma: no cover - regex restricts names
-            raise CircuitParseError(f"unexpected gate {name}")
     return ParsedCircuit(
         slot_phases=np.array(phases),
         pulse_slots=tuple(pulse_slots),

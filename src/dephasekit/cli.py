@@ -19,8 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits, noise_models, predictor, qns_recon, qubit_sim, serialize, sequences
-from .noise_models import UnstableModelError
-from .qns_recon import RankDeficientError
 from .serialize import SchemaError, field, number_list
 
 SCHEMA_VERSION = 1
@@ -399,8 +397,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (UnstableModelError, RankDeficientError, ValueError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

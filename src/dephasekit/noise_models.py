@@ -80,8 +80,8 @@ class ArmaModel:
 
     @property
     def burn_in(self) -> int:
-        p, q = self.order
-        return 10 * (p + q + 1)
+        """Normals drawn before a row's first step: 10(p+q+1), or len(taps()) - 1 if longer."""
+        return max(10 * (len(self.ar) + len(self.ma)), len(self.taps()) - 1)
 
     def ar_poly(self) -> np.ndarray:
         """Denominator [1, -a_1, ..., -a_p] in lfilter convention."""
@@ -93,6 +93,19 @@ class ArmaModel:
         impulse = np.zeros(length)
         impulse[0] = 1.0
         return lfilter(np.asarray(self.ma, dtype=float), self.ar_poly(), impulse)
+
+    def taps(self) -> np.ndarray:
+        """Impulse response h, ``ma`` for a pure-MA model; else doubled from (q+1) + 10(p+q+1)
+        until |h[-1]| < 1e-12 max|h|, capped at ``_STABILITY_MAX_STEPS``.  The one filter."""
+        if not self.ar:
+            return np.asarray(self.ma, dtype=float)
+        n = len(self.ma) + 10 * (len(self.ar) + len(self.ma))
+        while True:
+            h = self.impulse_response(n)
+            peak = np.abs(h).max()
+            if peak == 0.0 or np.abs(h[-1]) < 1e-12 * peak or n >= _STABILITY_MAX_STEPS:
+                return h
+            n = min(2 * n, _STABILITY_MAX_STEPS)
 
     def _ar_root_radius(self) -> float:
         roots = np.roots(self.ar_poly())
@@ -204,29 +217,23 @@ def _model_phases(model: "ArmaModel | None", source, rows: int, steps: int) -> n
     """(rows, steps) phases of ``model``, each row drawn from ``source`` by :func:`_unit_normals`.
 
     The one synthesizer.  A silent or absent model gives zeros and draws nothing.  Otherwise a
-    row is ``burn_in + steps`` normals, of which a pure-MA model keeps the last q + steps, all
-    its filter reads, and an AR model keeps all.
+    row is ``burn_in + steps`` normals, of which it keeps the last len(taps) - 1 + steps.
     """
     if model is None or model.drive_std == 0.0:
         return np.zeros((rows, steps))
-    p, q = model.order
-    normals = _unit_normals(source, (rows, model.burn_in + steps), None if p else q + steps)
+    normals = _unit_normals(source, (rows, model.burn_in + steps), len(model.taps()) - 1 + steps)
     return _synthesize_phases(model, normals, steps)
 
 
 def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:
-    """Scale unit normals by ``drive_std`` in place, ARMA-filter the last axis, keep ``steps``.
+    """Scale unit normals by ``drive_std`` in place, filter the last axis, keep ``steps``.
 
-    A pure-MA model's output t reads only inputs t-q..t; a "valid" ``np.convolve`` per row is
-    the kernel ``lfilter``'s FIR path runs, so every output equals a whole-row filter's.
+    The one kernel: a "valid" ``np.convolve`` of each row with ``model.taps()``, so output t
+    reads inputs t-len(taps)+1..t and starts stationary.  For a pure-MA model it is the kernel
+    ``lfilter``'s FIR path runs, so every output equals a whole-row filter's.
     """
     normals *= model.drive_std
-    if model.order[0] == 0:
-        phases = np.apply_along_axis(np.convolve, -1, normals, np.asarray(model.ma), "valid")
-    else:
-        from scipy.signal import lfilter
-
-        phases = lfilter(np.asarray(model.ma), model.ar_poly(), normals)
+    phases = np.apply_along_axis(np.convolve, -1, normals, model.taps(), "valid")
     return phases[..., -steps:]
 
 
@@ -264,28 +271,16 @@ def psd(model: ArmaModel, grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
 def autocovariance(model: ArmaModel, max_lag: int) -> np.ndarray:
     """r(0..max_lag) of the stationary process.
 
-    Computed from the impulse response h as r(k) = drive_std^2 * sum_t h_t
-    h_{t+k}, truncating h once it has decayed below 1e-12 of its peak so the
-    truncation error is below 1e-9 relative.
+    Computed from the taps h as r(k) = drive_std^2 * sum_t h_t h_{t+k}; their cut at 1e-12
+    of the peak keeps the truncation error below 1e-9 relative.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
     model.check_stable()
-    p, q = model.order
-    if p == 0:
-        h = np.asarray(model.ma, dtype=float)
-    else:
-        n = (q + 1) + model.burn_in
-        while True:
-            h = model.impulse_response(n)
-            peak = np.abs(h).max()
-            if peak == 0.0 or np.abs(h[-1]) < 1e-12 * peak or n >= _STABILITY_MAX_STEPS:
-                break
-            n = min(2 * n, _STABILITY_MAX_STEPS)
+    h = model.taps()
     r = np.zeros(max_lag + 1)
-    m = h.size
-    for k in range(min(max_lag, m - 1) + 1):
-        r[k] = np.dot(h[: m - k], h[k:])
+    for k in range(min(max_lag + 1, h.size)):
+        r[k] = np.dot(h[: h.size - k], h[k:])
     return model.drive_std**2 * r
 
 

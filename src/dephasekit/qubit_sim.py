@@ -34,8 +34,8 @@ from .seeds import (
 from .sequences import PulseSequence, chi_time_domain
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# most normals one SDR injected stream may draw; a pure-MA model holds only those it filters
-_MAX_SDR_NORMALS = 2**24
+# most normals one stream of one sequence may hold, or draw for an SDR injected stream
+_MAX_STREAM_NORMALS = 2**24
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,18 @@ def _injected_gate_phases(
     """
     model.check_stable()
     _check_gate_aligned(model, seq.gate_period, "injected model")
+    _check_held_normals(trajectories, seq.n_slots, model)
     rows = as_lineage(seed).child(seq.label).row_generators(trajectories, STREAM_INJECTED)
     return _model_phases(model, rows, trajectories, seq.n_slots)
+
+
+def _check_held_normals(rows: int, n_slots: int, *models: Optional[ArmaModel]) -> None:
+    """Refuse a stream holding rows x (len(taps) - 1 + n_slots) > _MAX_STREAM_NORMALS normals."""
+    for m in models:
+        held = rows * (len(m.taps()) - 1 + n_slots) if m is not None and m.drive_std else 0
+        if held > _MAX_STREAM_NORMALS:
+            raise ValueError(f"a model with {len(m.taps())} taps holds {held} normals in one "
+                             f"stream of {rows} rows, above {_MAX_STREAM_NORMALS}")
 
 
 def _sdr_steps(seq: PulseSequence, model: ArmaModel, mode: SdrMode) -> int:
@@ -276,13 +286,15 @@ def run_experiment(
     _check_gate_aligned(native_model, gate_period, "native model")
     if isinstance(mode, GateMode):
         _check_gate_aligned(model, gate_period, "injected model")
+        _check_held_normals(mode.trajectories, max(s.n_slots for s in sequences), model, native_model)
     elif isinstance(mode, SdrMode):
         _check_gate_aligned(model, mode.phase_update_period, "injected model",
                             "the SDR phase_update_period")
         block = mode.shots * (model.burn_in + max(_sdr_steps(s, model, mode) for s in sequences))
-        if block > _MAX_SDR_NORMALS:
+        if block > _MAX_STREAM_NORMALS:
             raise ValueError(f"phase_update_period {mode.phase_update_period!r} needs an SDR "
-                             f"block of {block} normals, above {_MAX_SDR_NORMALS}")
+                             f"block of {block} normals, above {_MAX_STREAM_NORMALS}")
+        _check_held_normals(mode.shots, max(s.n_slots for s in sequences), native_model)
     else:
         raise ValueError(f"unsupported mode {mode!r}")
     # lazy: concurrent.futures pulls in logging, about 25 ms of every CLI command's start-up

@@ -66,7 +66,6 @@ class FilterFunction:
     weights: np.ndarray
     peak_freq: float
     label: int = 0
-    n_pulses: int = 0
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -176,7 +175,6 @@ def filter_function(seq: PulseSequence, grid_size: int = DEFAULT_GRID_SIZE) -> F
         weights=density * trapz,
         peak_freq=float(freqs[np.argmax(density)]),
         label=seq.label,
-        n_pulses=seq.n_pulses,
     )
 
 

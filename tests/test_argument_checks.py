@@ -18,7 +18,7 @@ from dephasekit.noise_models import (
 )
 from dephasekit.predictor import WHITE_ONLY, _ModelMatrix
 from dephasekit.qns_recon import bootstrap_spectrum, reconstruct_spectrum
-from dephasekit.qubit_sim import ExperimentRecord, run_experiment, run_shot
+from dephasekit.qubit_sim import ExperimentRecord, GateMode, run_experiment, run_shot
 from dephasekit.sequences import FilterFunction, PulseSequence, filter_function, make_fttps
 from dephasekit.serialize import write_raw_survivals_csv
 
@@ -83,6 +83,11 @@ CASES = {
         "all sequences must share one gate period",
     ),
     "experiment-mode": (lambda: run_experiment(_seqs(), MODEL, mode="gate"), "unsupported mode"),
+    "experiment-held-normals": (
+        lambda: run_experiment(_seqs(), ArmaModel(ar=(0.99999,), ma=(1.0,), drive_std=1.0,
+                                                  sample_period=T_G), mode=GateMode(300, 1)),
+        "a model with 500000 taps holds 150004500 normals in one stream of 300 rows, above 16777216",
+    ),
     "shot-native-short": (
         lambda: run_shot(_seqs()[0], generate_trajectory(MODEL, 16, 0),
                          native=generate_trajectory(MODEL, 4, 1)),

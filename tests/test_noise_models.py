@@ -9,6 +9,7 @@ from scipy.signal import lfilter, welch
 from dephasekit.noise_models import (
     ArmaModel,
     UnstableModelError,
+    _model_phases,
     _synthesize_phases,
     autocovariance,
     design_bandpass,
@@ -18,6 +19,7 @@ from dephasekit.noise_models import (
     generate_trajectory,
     psd,
 )
+from dephasekit.seeds import SeedLineage
 
 T_S = 100e-9
 NYQUIST = 0.5 / T_S
@@ -138,13 +140,35 @@ def test_ma_synthesis_equals_full_lfilter(ma, length, rows, drive_std, seed):
     assert np.array_equal(_synthesize_phases(model, normals.copy(), length), expected)
 
 
+AR2 = ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.5, sample_period=T_S)
+
+
+@pytest.mark.parametrize("model", [AR2, ar1(0.99)], ids=["ar2", "ar1-0.99"])
 @pytest.mark.parametrize("rows", [None, 4])
-def test_ar_synthesis_is_full_lfilter(rows):
-    model = ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.5, sample_period=T_S)
+def test_ar_taps_convolution_equals_full_lfilter(rows, model):
+    # on rows longer than the taps, convolving with the truncated impulse response is
+    # filtering the whole row, up to the cut-off tail
     shape = (model.burn_in + 64,) if rows is None else (rows, model.burn_in + 64)
+    assert shape[-1] > len(model.taps())
     normals = np.random.default_rng(5).standard_normal(shape)
     got = _synthesize_phases(model, normals.copy(), 64)
-    assert np.array_equal(got, lfilter_synthesis(model, normals))
+    expected = lfilter_synthesis(model, normals)
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize(
+    "model", [ar1(0.5), ar1(0.95), ar1(0.99), AR2], ids=["ar1-0.5", "ar1-0.95", "ar1-0.99", "ar2"]
+)
+def test_ar_first_step_is_stationary(model):
+    # the warm-up spans the model's memory, so a row's first step already has variance r(0);
+    # 40,000 rows in blocks of 2,000, each block one lineage, bound the memory held
+    rows, block = 40_000, 2_000
+    lineage = SeedLineage(19)
+    first = np.concatenate(
+        [_model_phases(model, lineage.child(b), block, 4)[:, 0] for b in range(rows // block)]
+    )
+    ratio = first.var() / autocovariance(model, 0)[0]
+    assert abs(ratio - 1.0) <= 5 * np.sqrt(2 / rows)
 
 
 # ---------------------------------------------------------------------------

@@ -313,7 +313,7 @@ def _golden_run(case):
     [
         ("gate-power-law-257-taps",
          "2a48c37d3e555ec4824c1966c5b37d19e286af82ac1bf27d10cc34bab5ab4288"),
-        ("gate-ar2-jitter", "58c3c079be663798c9a8ebf1522087afa04d02c3f4792a811118af077cfe6d00"),
+        ("gate-ar2-jitter", "0c29b1233b8f49890c24b6668b7b294314a44f15d0dd880cd04771eb2b33334e"),
         ("sdr-native-jitter", "6890a2bf124387b3a80c3033f647b7de575aafc970f1654d3c4e100e842d33ef"),
     ],
 )
@@ -440,8 +440,8 @@ def test_lean_draw_equals_trailing_columns_of_full_draw(sdr, shape, keep):
     ids=["ma-101-taps", "ar2"],
 )
 def test_model_phases_equal_full_width_synthesis(model, sdr):
-    # a pure-MA model holds only the columns its filter reads, an AR model whole rows;
-    # either way the phases are those of synthesizing the full-width draw
+    # every model holds only the columns its filter reads, len(taps) - 1 + N;
+    # the phases are those of synthesizing the full-width draw
     root = SeedLineage(43)
     shape = (150, model.burn_in + N)
     full = _full_width_normals(root, 2, STREAM_INJECTED, shape, sdr)
@@ -524,6 +524,30 @@ def test_gate_run_holds_only_filtered_columns():
         tracemalloc.stop()
     assert model.burn_in == 2570 and full_width == 6_475_200
     assert peak < full_width
+
+
+NEAR_UNIT_ROOT = ArmaModel(ar=(0.99999,), ma=(1.0,), drive_std=1.0, sample_period=T_G)
+
+
+@pytest.mark.parametrize("case", ["gate-injected", "gate-native", "sdr-native", "sdr-injected",
+                                  "export"])
+def test_long_memory_stream_refused_before_any_draw(case, monkeypatch):
+    # the warm-up spans a near-unit-root model's 500,000 taps: a stream of 300 rows would hold
+    # about 1.5e8 normals, so the precondition pass refuses it before any sequence draws
+    monkeypatch.setattr(qubit_sim, "_model_phases", lambda *args: pytest.fail("drew phases"))
+    seqs = make_fttps(4, N, T_G)
+    gate, sdr = GateMode(300, 1), SdrMode(300, T_G)
+    calls = {
+        "gate-injected": lambda: run_experiment(seqs, NEAR_UNIT_ROOT, mode=gate),
+        "gate-native": lambda: run_experiment(seqs, WHITE_01, NEAR_UNIT_ROOT, mode=gate),
+        "sdr-native": lambda: run_experiment(seqs, WHITE_01, NEAR_UNIT_ROOT, mode=sdr),
+        "sdr-injected": lambda: run_experiment(seqs, NEAR_UNIT_ROOT, mode=sdr),
+        "export": lambda: qubit_sim._injected_gate_phases(seqs[0], NEAR_UNIT_ROOT, 300, 0),
+    }
+    # an SDR injected stream keeps its bound on the normals drawn, warm-up included
+    message = "needs an SDR block" if case == "sdr-injected" else "a model with 500000 taps holds"
+    with pytest.raises(ValueError, match=message):
+        calls[case]()
 
 
 def test_gate_mode_survival_clipped_to_unit_interval():
