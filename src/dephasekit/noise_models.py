@@ -272,7 +272,9 @@ def autocovariance(model: ArmaModel, max_lag: int) -> np.ndarray:
     """r(0..max_lag) of the stationary process.
 
     Computed from the taps h as r(k) = drive_std^2 * sum_t h_t h_{t+k}; their cut at 1e-12
-    of the peak keeps the truncation error below 1e-9 relative.
+    of the peak keeps the truncation error below 1e-9 relative when the taps decay that
+    far within the 500,000-tap cap.  Past it the cut is silent: at AR(1) a = 0.99999 the
+    taps end at e^-5 of the peak and r(0) is 4.5e-5 relative low.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")

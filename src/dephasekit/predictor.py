@@ -51,11 +51,51 @@ class FitConvergenceWarning(UserWarning):
     pass
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``; lazy: ~0.5 s to import, only ``fit`` needs it."""
-    from scipy.optimize import least_squares as solve
+@dataclass(frozen=True)
+class Refinement:
+    """The cutoff_sq refinement's result, with the fields of a ``least_squares`` result
+    that ``fit`` reads."""
 
-    return solve(*args, **kwargs)
+    x: np.ndarray  # (log cutoff_sq,)
+    status: int  # 0: budget used up; 1: gradient out of the bracket or zero; 2: step test
+    message: str
+    active_mask: np.ndarray  # (-1,) or (1,) at the bracket's lower or upper end, else (0,)
+    nfev: int
+
+
+def least_squares(fun, x0, jac, bounds, max_nfev) -> Refinement:
+    """Minimise ||fun(t)||^2 over t in ``bounds``, a bracket of a local minimum that holds
+    ``x0``, by safeguarded Gauss-Newton steps with the one-column Jacobian ``jac``.
+
+    The gradient J^T r at each iterate moves the bracket end on its downhill side to the
+    iterate; a step that leaves the bracket is replaced by bisection towards its far end.
+    It stops when the gradient is zero or points out of the bracket at an end, when a
+    step falls below 1e-14 relative, or after ``max_nfev`` evaluations of ``fun``.
+    """
+    lo, hi = bounds
+    t = float(np.ravel(x0)[0])
+    nfev, status, message = 1, 0, "the evaluation budget is used up"
+    while True:
+        r, j = fun(t), jac(t)[:, 0]
+        gradient, curvature = float(j @ r), float(j @ j)
+        if gradient > 0.0:
+            hi = t
+        elif gradient < 0.0:
+            lo = t
+        if gradient == 0.0 or curvature == 0.0 or lo == hi:
+            status, message = 1, "the gradient is zero or points out of the bracket"
+            break
+        trial = t - gradient / curvature
+        if not lo < trial < hi:
+            trial = 0.5 * (t + (lo if trial < t else hi))
+        if abs(trial - t) <= 1e-14 * max(abs(t), 1.0):
+            status, message = 2, "the step is below 1e-14 relative"
+            break
+        if nfev == max_nfev:
+            break
+        t, nfev = trial, nfev + 1
+    active = -1 if t == bounds[0] else 1 if t == bounds[1] else 0
+    return Refinement(np.array([t]), status, message, np.array([active]), nfev)
 
 
 @dataclass(frozen=True)
@@ -185,20 +225,15 @@ class _ModelMatrix:
         full = np.array(_PINNED)
         full[1] = wc2
         linear = [i for i in range(5)[_FREE[self.kind]] if i != 1]
-        columns = self._columns(1.0, wc2)[:, linear]
-        # unit weighted columns: their raw scales span ~10 decades
-        norms = np.linalg.norm(self.weights[:, None] * columns, axis=0)
-        norms[norms == 0.0] = 1.0
-        _, unit = _weighted_inversion(columns / norms, self.chi - self.chi_injected,
-                                      self.weights, 0.0)
-        full[linear] = unit / norms
+        _, full[linear] = _weighted_inversion(self._columns(1.0, wc2)[:, linear],
+                                              self.chi - self.chi_injected, self.weights, 0.0)
         return full
 
 
 def _profiled_cutoff(matrix: _ModelMatrix):
     """Variable projection over log cutoff_sq: the best point of a log grid over the
-    filters' band, refined by one bounded least-squares solve.  Returns the model vector
-    and the solver's result."""
+    filters' band, refined between its grid neighbours by ``least_squares``.  Returns the
+    model vector and the refinement's result."""
     band = np.log(matrix.omega_sq[[1, -1]])
     solved = {}
 
@@ -221,11 +256,11 @@ def _profiled_cutoff(matrix: _ModelMatrix):
         return (column - q @ (q.T @ column))[:, None]
 
     grid = np.linspace(band[0], band[1], _GRID_POINTS)
-    start = min(grid, key=lambda t: np.sum(residuals(t) ** 2))
-    sol = least_squares(
-        residuals, [start], jac=jacobian, bounds=tuple(band),
-        method="trf", ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=_MAX_NFEV,
-    )
+    best = min(range(_GRID_POINTS), key=lambda i: np.sum(residuals(grid[i]) ** 2))
+    # the grid neighbours bracket a local minimum: neither is better than the best point
+    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, _GRID_POINTS - 1)])
+    sol = least_squares(residuals, [grid[best]], jac=jacobian, bounds=bracket,
+                        max_nfev=_MAX_NFEV)
     return project(sol.x), sol
 
 
@@ -254,9 +289,10 @@ def fit(
     native resonances).  At a fixed cutoff_sq the other entries come from one
     weighted NNLS (``qns_recon._weighted_inversion``), so ``white_only`` is a
     single solve.  ``lorentzian_plus_white`` takes the best cutoff_sq of a
-    fixed log grid over the filters' band and refines it with one bounded
-    ``least_squares`` on log cutoff_sq.  Its NNLS admits amplitude 0, the
-    white-only model, so its loss never exceeds the white-only loss.
+    fixed log grid over the filters' band and refines it with safeguarded
+    Gauss-Newton steps on log cutoff_sq (``least_squares``), bracketed by the
+    best point's grid neighbours.  Its NNLS admits amplitude 0, the white-only
+    model, so its loss never exceeds the white-only loss.
     """
     if kind not in _PARAM_NAMES:
         raise ValueError(f"unknown model kind {kind!r}")
@@ -276,11 +312,12 @@ def fit(
     else:
         x, sol = _profiled_cutoff(matrix)
         converged, message, at_bound = sol.status > 0, str(sol.message), x <= 1e-12
-        at_bound[1] = sol.active_mask[0] != 0  # cutoff_sq at an end of the band
+        # a bracket end the iterate can stop at is an end of the band
+        at_bound[1] = sol.active_mask[0] != 0
         if not converged:
             warnings.warn(
                 f"fit did not converge within {_MAX_NFEV} evaluations: {message}; "
-                f"returning best iterate",
+                f"returning the last iterate",
                 FitConvergenceWarning,
             )
     residuals = matrix.residuals(x)

@@ -23,11 +23,67 @@ DEFAULT_SATURATION_FLOOR = 0.02
 _MIN_CHI_VARIANCE = 1e-24
 
 
-def nnls(a: np.ndarray, b: np.ndarray):
-    """``scipy.optimize.nnls``; lazy: ~0.5 s to import, only the inversion needs it."""
-    from scipy.optimize import nnls as solve
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """min ||a x - b|| subject to x >= 0: (x, residual norm).
 
-    return solve(a, b)
+    Lawson & Hanson's active-set method (*Solving Least Squares Problems*, 1974,
+    ch. 23) on the columns of ``a`` scaled to unit norm: unscaled, columns whose norms
+    span decades make the active set cycle.  Its passive-set solves, outer and inner
+    steps together, stop at 3n, as ``scipy.optimize.nnls``'s iterations do; the iterate
+    is feasible throughout, and at the cap it is returned as it stands.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape
+    norms = np.linalg.norm(a, axis=0)
+    scale = np.where(norms > 0.0, norms, 1.0)
+    unit = a / scale
+    gram = unit.T @ unit
+    target = unit.T @ b
+    # a column enters only on a gradient above rounding; a unit column's is at most ||b||
+    tol = 10.0 * np.finfo(float).eps * max(m, n) * np.linalg.norm(b)
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    steps = 0
+    while steps < 3 * n:
+        gradient = np.where(passive, -np.inf, target - gram @ x)
+        j = int(np.argmax(gradient))
+        if not gradient[j] > tol:
+            break
+        passive[j] = True
+        while steps < 3 * n:
+            steps += 1
+            z = np.zeros(n)
+            z[passive] = _passive_solve(unit, gram, target, b, passive)
+            if np.all(z[passive] > 0.0):
+                x = z
+                break
+            # step from x towards z until the first passive entry reaches 0; it leaves
+            neg = np.flatnonzero(passive & (z <= 0.0))
+            ratios = x[neg] / (x[neg] - z[neg])
+            k = int(np.argmin(ratios))
+            x = x + ratios[k] * (z - x)
+            x[neg[k]] = 0.0
+            passive &= x > 0.0
+            x[~passive] = 0.0
+    x = x / scale
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+def _passive_solve(unit, gram, target, b, passive) -> np.ndarray:
+    """Least squares of ``b`` on the unit columns ``passive``: a solve of their Gram
+    submatrix, or ``lstsq`` on the columns where that submatrix is ill-conditioned."""
+    sub = gram[passive][:, passive]
+    try:
+        # a Cholesky pivot of a unit-diagonal Gram matrix is its column's distance from
+        # the span of the columns before it; below 1e-2 the columns' condition number
+        # exceeds 100, and the normal equations would lose two more digits than a QR solve
+        well_posed = np.diagonal(np.linalg.cholesky(sub)).min() > 1e-2
+    except np.linalg.LinAlgError:  # not positive definite: dependent columns
+        well_posed = False
+    if well_posed:
+        return np.linalg.solve(sub, target[passive])
+    return np.linalg.lstsq(unit[:, passive], b, rcond=None)[0]
 
 
 class RankDeficientError(ValueError):

@@ -1329,7 +1329,7 @@ def test_cli_import_leaves_out_scipy_signal():
 
 
 def test_cli_import_leaves_out_scipy():
-    # scipy.optimize costs ~0.5 s per process; only fit and reconstruct call its solvers
+    # importing scipy costs 0.5 s or more per process; no command's solvers need it
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, dephasekit, dephasekit.cli\n"
@@ -1338,3 +1338,29 @@ def test_cli_import_leaves_out_scipy():
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_cli_reconstruct_and_fit_run_without_scipy(pipeline):
+    # the README's reconstruct, with bootstrap, and its Lorentzian fit solve with numpy
+    # alone: each runs in a process where importing scipy fails
+    tmp, out, _ = pipeline
+    run = {"schema_version": 1, "records": str(out / "records.csv"),
+           "sequences": str(out / "sequences.json"), "grid_size": 1025}
+    configs = {
+        "reconstruct": dict(run, bootstrap_resamples=20,
+                            raw_survivals=str(out / "records_raw.csv")),
+        "fit": dict(run, injected_spectrum=str(out / "injected_psd.csv"),
+                    model_kind="lorentzian_plus_white"),
+    }
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; sys.modules['scipy'] = None; from dephasekit.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for command, cfg in configs.items():
+        argv = [command, "--config", write_json(tmp / f"{command}.json", cfg),
+                "--out-dir", str(tmp / "no-scipy")]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=300,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, (command, done.stderr)
+    assert (tmp / "no-scipy" / "spectrum.csv").exists()
+    assert json.loads((tmp / "no-scipy" / "fit_report.json").read_text())["converged"] is True

@@ -10,6 +10,7 @@ from dephasekit import predictor
 from dephasekit.predictor import (
     LORENTZIAN_PLUS_WHITE,
     WHITE_ONLY,
+    FitConvergenceWarning,
     FitParams,
     _ModelMatrix,
     fit,
@@ -331,6 +332,66 @@ def test_fit_least_squares_budget(seqs, filters, monkeypatch):
     assert white.converged
 
 
+@pytest.fixture(scope="module")
+def readme_records(seqs):
+    """The README pipeline's records at seed 1, with its injected spectrum."""
+    model = design_bandpass(1.0e6, 0.2e6, 1e-3, T_G)
+    records = run_experiment(
+        seqs, model, mode=GateMode(trajectories=200, shots_per_trajectory=1000), seed=1
+    )
+    return records, psd(model)
+
+
+@pytest.mark.parametrize("case", ["readme-seed-1", "criterion-6-seed-0",
+                                  "criterion-6-seed-1", "criterion-6-seed-2"])
+def test_cutoff_refinement_matches_scipy_least_squares(case, seqs, filters, injected,
+                                                       readme_records, monkeypatch):
+    # the Gauss-Newton refinement finds the log cutoff_sq that a bounded trust-region
+    # least_squares over the whole band finds from the same grid point
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    if case == "readme-seed-1":
+        records, spectrum = readme_records
+    else:
+        seed = int(case.rsplit("-", 1)[1])
+        records, spectrum = shot_sampled(model_records(TRUE, seqs, filters, injected),
+                                         200 * 1000, seed=seed), injected
+    ours = fit(records, filters, spectrum)
+    band = tuple(np.log((2.0 * np.pi * filters[0].freqs[[1, -1]]) ** 2))
+
+    def trust_region(fun, x0, jac, bounds, max_nfev):
+        return scipy_least_squares(fun, x0, jac=jac, bounds=band, method="trf", ftol=1e-14,
+                                   xtol=1e-14, gtol=1e-14, max_nfev=max_nfev)
+
+    monkeypatch.setattr(predictor, "least_squares", trust_region)
+    theirs = fit(records, filters, spectrum)
+    assert ours.converged and theirs.converged
+    t_ours, t_theirs = np.log(ours.params.cutoff**2), np.log(theirs.params.cutoff**2)
+    assert abs(t_ours - t_theirs) <= 1e-10 * abs(t_theirs)
+
+
+@pytest.mark.parametrize("cutoff_hz, end", [(100.0, 0), (20e6, -1)], ids=["below", "above"])
+def test_cutoff_past_band_end_is_bounds_active(cutoff_hz, end, seqs, filters, injected):
+    # a native cutoff outside the filters' band: the refinement stops at the band's end
+    # with its gradient pointing out, and cutoff_sq is listed as at its bound
+    params = FitParams(amplitude=2.2e-9, cutoff=2 * np.pi * cutoff_hz, white_floor=6e-10,
+                       c1=2e-3, c2=5e-5)
+    result = fit(model_records(params, seqs, filters, injected), filters, injected)
+    band = (2.0 * np.pi * filters[0].freqs[[1, -1]]) ** 2
+    assert result.converged
+    assert result.params.cutoff**2 == pytest.approx(band[end], rel=1e-12)
+    assert "cutoff_sq" in result.bounds_active
+
+
+def test_fit_warns_when_refinement_budget_is_spent(seqs, filters, injected, monkeypatch):
+    # one evaluation, the grid point's own, leaves the interior optimum unrefined
+    monkeypatch.setattr(predictor, "_MAX_NFEV", 1)
+    records = model_records(TRUE, seqs, filters, injected)
+    with pytest.warns(FitConvergenceWarning, match="within 1 evaluations"):
+        result = fit(records, filters, injected)
+    assert not result.converged
+
+
 def _fit_digest(result):
     h = hashlib.sha256()
     for values in (result.params.to_vector(), result.param_stderr, result.residuals):
@@ -343,8 +404,8 @@ def _fit_digest(result):
     "kind, digest",
     [
         (LORENTZIAN_PLUS_WHITE,
-         "dff781de6ff67f5bb3a2718203843add4c45028e3955132a19c936c8c49f12cf"),
-        (WHITE_ONLY, "48e5264d1d816ccb43f99d3de436cff97d3d49e5475b1921b4a9f7195d85d5e2"),
+         "792848762dca951883e88886d8674e11e26f5b888ffacd32e5563978670df34d"),
+        (WHITE_ONLY, "ff52313a42f397ac0fa434cbbd056920e9408050b2847d82700f0ae4efcbf369"),
     ],
 )
 def test_fit_golden_digest(seqs, filters, injected, kind, digest):

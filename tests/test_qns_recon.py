@@ -4,8 +4,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
+from dephasekit import qns_recon
 from dephasekit.noise_models import ArmaModel, autocovariance, design_bandpass, design_lorentzian
 from dephasekit.predictor import WHITE_ONLY, _ModelMatrix
 from dephasekit.qns_recon import (
@@ -16,6 +19,7 @@ from dephasekit.qns_recon import (
     _decays,
     bootstrap_spectrum,
     decay_from_survival,
+    nnls,
     reconstruct_spectrum,
     subtract_native,
 )
@@ -116,6 +120,76 @@ def test_decay_rule_matches_scalar_reference():
             _decays(np.array([0.9, bad]), np.zeros(2), DEFAULT_SATURATION_FLOOR)
     with pytest.raises(ValueError, match=r"floor must lie in \(0, 0.5\), got 0.7"):
         _decays(means, stderrs, 0.7)
+
+
+# ---------------------------------------------------------------------------
+# nnls
+# ---------------------------------------------------------------------------
+
+
+def _nnls_kkt_violation(a, b, x):
+    """The largest breach of the NNLS optimality conditions on columns scaled to unit
+    norm, relative to ||b||: the gradient is 0 on the positive entries, <= 0 elsewhere."""
+    norms = np.linalg.norm(a, axis=0)
+    gradient = (a / np.where(norms > 0, norms, 1.0)).T @ (b - a @ x)
+    worst = max(np.abs(gradient[x > 0]).max(initial=0.0), gradient[x == 0].max(initial=0.0))
+    return worst / max(np.linalg.norm(b), 1e-300)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 30), extra=st.integers(1, 30), spread=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=24, extra=8, spread=True, seed=0)
+def test_nnls_matches_scipy(n, extra, spread, seed):
+    # an overdetermined Gaussian system has one solution, so both solvers must find it;
+    # ``spread`` scales the column norms over 12 decades (the reconstruction's span ~3)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n + extra, n))
+    if spread:
+        a *= np.logspace(-6.0, 6.0, n)[rng.permutation(n)]
+    b = rng.standard_normal(n + extra)
+    x, rnorm = nnls(a, b)
+    ref, ref_rnorm = scipy_nnls(a, b)
+    assert np.array_equal(x > 0, ref > 0)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert rnorm == pytest.approx(ref_rnorm, rel=1e-12)
+    assert _nnls_kkt_violation(a, b, x) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case", ["b-zero", "zero-column", "duplicated-columns", "rank-deficient-64",
+             "near-collinear"],
+)
+def test_nnls_degenerate_systems(case, monkeypatch):
+    # each stops within the 3n cap on inner solves with a finite x >= 0 that meets the
+    # optimality conditions; the near-collinear pair (distance 1e-6 apart) needs the
+    # lstsq fallback, as the Gram solve loses the split between them
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((20, 6))
+    b = rng.standard_normal(20)
+    if case == "b-zero":
+        b = np.zeros(20)
+    elif case == "zero-column":
+        a[:, 2] = 0.0
+    elif case == "duplicated-columns":
+        a = np.column_stack([a, a[:, ::-1]])
+    elif case == "rank-deficient-64":
+        a = rng.standard_normal((64, 32)) @ rng.standard_normal((32, 64))
+        b = rng.standard_normal(64)
+    elif case == "near-collinear":
+        a[:, 1] = a[:, 0] + 1e-6 * rng.standard_normal(20)
+        b = a[:, :3] @ np.array([1.0, 2.0, 0.5])
+    solves = []
+    solve = qns_recon._passive_solve
+    monkeypatch.setattr(qns_recon, "_passive_solve",
+                        lambda *args: solves.append(1) or solve(*args))
+    x, rnorm = nnls(a, b)
+    assert np.all(np.isfinite(x)) and np.all(x >= 0.0)
+    assert len(solves) <= 3 * a.shape[1]
+    assert rnorm == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12, abs=1e-300)
+    assert _nnls_kkt_violation(a, b, x) <= 1e-12
+    if case == "near-collinear":
+        assert np.abs(x - [1.0, 2.0, 0.5, 0.0, 0.0, 0.0]).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +517,7 @@ def test_bootstrap_equals_per_resample_design(seqs, filters):
         ratio = [2.0 * r.survival_stderr / (2.0 * r.survival_mean - 1.0) for r in usable]
         weights = np.array([1.0 / np.sqrt(max(q * q, 1e-24)) for q in ratio])
         design = _binned_filter_matrix(usable, by_label, edges)
-        values[b], _ = scipy_nnls(design * weights[:, None], chi * weights)
+        values[b], _ = nnls(design * weights[:, None], chi * weights)
     assert len(dropped) > 1 and 0 in dropped
     assert np.array_equal(result.median.values, np.median(values, axis=0))
     assert np.array_equal(result.lower, np.quantile(values, 0.025, axis=0))
@@ -456,9 +530,9 @@ def test_bootstrap_equals_per_resample_design(seqs, filters):
         # sequences 7, 8, 14 and 15 sit at or below the saturation floor, and
         # resamples move their neighbours across it
         ("straddle", 0.2, {},
-         "afa644cbc906d834c43f259e0271512fd166a56982d540e317a2b588d21263d3"),
+         "0650e79f4613b72d6dac2e7fe07e2a52c82bf32639c984c875f92afc4765ca63"),
         ("ridge", 0.01, {"ridge": 1e16},
-         "f78c1bff694c4d39635304f6ccd5b56f8078b9e09f5aa23a3ba211e7f5306e01"),
+         "683b8fc29b25148c3b1f1892516172d547ea2e8032ad80e47c7b39b500bb180b"),
     ],
 )
 def test_bootstrap_golden_digest(tmp_path, case, power, recon_kwargs, digest):
