@@ -22,6 +22,7 @@ frequency sampling on the PSD square root with a raised-cosine window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -87,25 +88,42 @@ class ArmaModel:
         """Denominator [1, -a_1, ..., -a_p] in lfilter convention."""
         return np.concatenate([[1.0], -np.asarray(self.ar, dtype=float)])
 
-    def impulse_response(self, length: int) -> np.ndarray:
-        from scipy.signal import lfilter  # lazy: ~0.75 s to import, only AR paths need it
+    def _impulse(self):
+        """Yield h_0, h_1, ... of B(z)/A(z) by the transposed-direct-form-II recursion that
+        ``scipy.signal.lfilter`` runs, over Python floats, so each value is bit-identical.
+        A causal filter's first n outputs do not depend on the run's length."""
+        n = max(len(self.ar) + 1, len(self.ma), 2)
+        b = list(self.ma) + [0.0] * (n - len(self.ma))
+        a = [1.0] + [-c for c in self.ar] + [0.0] * (n - 1 - len(self.ar))
+        z, x = [0.0] * (n - 1), 1.0
+        while True:
+            y = z[0] + b[0] * x
+            for i in range(n - 2):
+                z[i] = z[i + 1] + x * b[i + 1] - y * a[i + 1]
+            z[-1] = x * b[-1] - y * a[-1]
+            yield y
+            x = 0.0
 
-        impulse = np.zeros(length)
-        impulse[0] = 1.0
-        return lfilter(np.asarray(self.ma, dtype=float), self.ar_poly(), impulse)
+    def impulse_response(self, length: int) -> np.ndarray:
+        return np.fromiter(islice(self._impulse(), length), float)
 
     def taps(self) -> np.ndarray:
         """Impulse response h, ``ma`` for a pure-MA model; else doubled from (q+1) + 10(p+q+1)
-        until |h[-1]| < 1e-12 max|h|, capped at ``_STABILITY_MAX_STEPS``.  The one filter."""
-        if not self.ar:
-            return np.asarray(self.ma, dtype=float)
-        n = len(self.ma) + 10 * (len(self.ar) + len(self.ma))
-        while True:
-            h = self.impulse_response(n)
-            peak = np.abs(h).max()
-            if peak == 0.0 or np.abs(h[-1]) < 1e-12 * peak or n >= _STABILITY_MAX_STEPS:
-                return h
-            n = min(2 * n, _STABILITY_MAX_STEPS)
+        until |h[-1]| < 1e-12 max|h|, capped at ``_STABILITY_MAX_STEPS``, in one pass of
+        :meth:`_impulse`.  The one filter, computed once per model and read-only."""
+        h = self.__dict__.get("_taps")
+        if h is None:
+            h, n, impulse = [], len(self.ma) + 10 * (len(self.ar) + len(self.ma)), self._impulse()
+            while self.ar:
+                h += islice(impulse, n - len(h))
+                peak = max(map(abs, h))
+                if peak == 0.0 or abs(h[-1]) < 1e-12 * peak or n >= _STABILITY_MAX_STEPS:
+                    break
+                n = min(2 * n, _STABILITY_MAX_STEPS)
+            h = np.array(h if self.ar else self.ma, dtype=float)
+            h.setflags(write=False)
+            object.__setattr__(self, "_taps", h)
+        return h
 
     def _ar_root_radius(self) -> float:
         roots = np.roots(self.ar_poly())

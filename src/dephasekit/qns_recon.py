@@ -351,9 +351,10 @@ def bootstrap_spectrum(
 
     Per resample, each sequence's retained per-trajectory survivals are
     resampled with replacement (one draw per record, in record order), their
-    mean and stderr recomputed, and the inversion re-run on the bin grid of the
-    point estimate.  The binned filter matrix is built once for all records; a
-    resample keeps the rows of its unsaturated records.
+    means and stderrs recomputed by one call per trajectory count, and the
+    inversion re-run on the bin grid of the point estimate.  The binned filter
+    matrix is built once for all records; a resample keeps the rows of its
+    unsaturated records.
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
@@ -362,14 +363,17 @@ def bootstrap_spectrum(
     point = reconstruct_spectrum(records, filters, bins, ridge, saturation_floor)
     root = as_lineage(seed)
     design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
+    sizes = [r.trajectory_survivals.size for r in records]
+    shots = np.array([r.shots for r in records])
+    groups = [np.flatnonzero(np.equal(sizes, n)) for n in set(sizes)]
     means = np.empty(len(records))
     stderrs = np.empty(len(records))
     values = np.zeros((resamples, point.values.size))
     for b, rng in root.row_generators(resamples):
-        for i, rec in enumerate(records):
-            raw = rec.trajectory_survivals
-            means[i], stderrs[i] = _survival_stats(raw[rng.integers(0, raw.size, raw.size)],
-                                                   rec.shots)
+        drawn = [r.trajectory_survivals[rng.integers(0, n, n)] for r, n in zip(records, sizes)]
+        for idx in groups:
+            means[idx], stderrs[idx] = _survival_stats(np.stack([drawn[i] for i in idx]),
+                                                       shots[idx])
         keep, chi, weights = _decays(means, stderrs, saturation_floor)
         if keep.any():  # an all-saturated resample contributes zeros
             _, values[b] = _weighted_inversion(design[keep], chi[keep], weights[keep], ridge)

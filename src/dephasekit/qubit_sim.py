@@ -182,26 +182,26 @@ def _check_gate_aligned(
         )
 
 
-def _binomial_stderr(mean: float, total: int) -> float:
-    """Floored binomial standard error sqrt(p~ (1-p~) / n), p~ = (s + 1/2) / (n + 1).
+def _binomial_stderr(mean, total):
+    """Floored binomial standard error sqrt(p~ (1-p~) / n), p~ = (s + 1/2) / (n + 1), elementwise.
 
     Unlike sqrt(p (1-p) / n) it stays positive for all-success and all-failure
     records, so downstream inverse-variance weights stay finite.
     """
     p_tilde = (mean * total + 0.5) / (total + 1.0)
-    return float(np.sqrt(p_tilde * (1.0 - p_tilde) / total))
+    return np.sqrt(p_tilde * (1.0 - p_tilde) / total)
 
 
-def _survival_stats(fractions: np.ndarray, shots_each: int) -> tuple[float, float]:
-    """Mean and standard error of the mean across trajectory blocks.
+def _survival_stats(fractions: np.ndarray, shots_each) -> tuple[np.ndarray, np.ndarray]:
+    """Means and standard errors of the mean across trajectory blocks, along the last axis.
 
     The standard error is the larger of the trajectory-to-trajectory scatter
-    and :func:`_binomial_stderr`.
+    and :func:`_binomial_stderr`; ``shots_each`` broadcasts against the means.
     """
-    n_traj = fractions.size
-    mean = float(fractions.mean())
-    scatter = float(fractions.std(ddof=1) / np.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return mean, max(scatter, _binomial_stderr(mean, n_traj * shots_each))
+    n_traj = fractions.shape[-1]
+    mean = fractions.mean(axis=-1)
+    scatter = fractions.std(axis=-1, ddof=1) / np.sqrt(n_traj) if n_traj > 1 else 0.0
+    return mean, np.maximum(scatter, _binomial_stderr(mean, n_traj * shots_each))
 
 
 def _injected_gate_phases(
@@ -351,7 +351,7 @@ def _run_sequence(
         shots, fractions = mode.shots_per_trajectory, np.empty(rows)
         for r, rng in root.child(k).row_generators(rows, STREAM_MEASUREMENT):
             fractions[r] = rng.binomial(shots, p[r]) / shots
-    mean, stderr = _survival_stats(fractions, shots)
+    mean, stderr = map(float, _survival_stats(fractions, shots))
     return ExperimentRecord(
         label=k,
         n_pulses=seq.n_pulses,

@@ -350,7 +350,7 @@ def read_records_csv(path) -> "list[ExperimentRecord]":
         if row.get("survival_stderr") not in ("", None):
             stderr = _cell(path, i, row, "survival_stderr", lo=0.0)
         else:
-            stderr = _binomial_stderr(mean, shots * trajectories)
+            stderr = float(_binomial_stderr(mean, shots * trajectories))
         records.append(
             ExperimentRecord(
                 label=_cell(path, i, row, "seq_index", int),

@@ -1341,16 +1341,28 @@ def test_cli_import_leaves_out_scipy():
 
 
 def test_cli_reconstruct_and_fit_run_without_scipy(pipeline):
-    # the README's reconstruct, with bootstrap, and its Lorentzian fit solve with numpy
-    # alone: each runs in a process where importing scipy fails
+    # the README's reconstruct, with bootstrap, its Lorentzian fit, design, and AR-model
+    # synthesis in simulate and export-circuits run on numpy alone: each runs in a process
+    # where importing scipy fails
     tmp, out, _ = pipeline
+    ar2 = str(tmp / "ar2.json")
+    write_model_json(ar2, ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0,
+                                    sample_period=T_G))
     run = {"schema_version": 1, "records": str(out / "records.csv"),
            "sequences": str(out / "sequences.json"), "grid_size": 1025}
+    injection = {"schema_version": 1, "family": "fttps", "n_sequences": 2, "n_slots": 16,
+                 "gate_period_s": T_G, "seed": 3, "trajectories": 4}
     configs = {
         "reconstruct": dict(run, bootstrap_resamples=20,
                             raw_survivals=str(out / "records_raw.csv")),
         "fit": dict(run, injected_spectrum=str(out / "injected_psd.csv"),
                     model_kind="lorentzian_plus_white"),
+        "design": {"schema_version": 1, "kind": "bandpass", "center_hz": 1.0e6,
+                   "bandwidth_hz": 0.3e6, "power_rad2": 1e-3, "sample_period_s": T_G,
+                   "taps": 101, "grid_size": 1025, "name": "designed"},
+        "simulate": dict(injection, model=str(out / "injected.json"), native_model=ar2,
+                         mode="gate", shots_per_trajectory=10),
+        "export-circuits": dict(injection, model=ar2),
     }
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.modules['scipy'] = None; from dephasekit.cli import main; "

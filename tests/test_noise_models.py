@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter, welch
 
 from dephasekit.noise_models import (
+    _STABILITY_MAX_STEPS,
     ArmaModel,
     UnstableModelError,
     _model_phases,
@@ -237,6 +238,55 @@ def test_psd_equals_polyval(ar, ma, drive_std, grid_size):
     spec = psd(model, grid_size)
     assert np.array_equal(spec.freqs, freqs)
     np.testing.assert_allclose(spec.values, values, rtol=0, atol=1e-12 * values.max())
+
+
+# ---------------------------------------------------------------------------
+# impulse response and taps
+# ---------------------------------------------------------------------------
+
+
+def lfilter_impulse(model, length):
+    impulse = np.zeros(length)
+    impulse[0] = 1.0
+    return lfilter(np.asarray(model.ma), model.ar_poly(), impulse)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    ar=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=4).map(stable_ar),
+    ma=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6).filter(any),
+    length=st.integers(min_value=1, max_value=3000),
+)
+@example(ar=(0.99,), ma=(1.0,), length=6000)
+@example(ar=AR2.ar, ma=AR2.ma, length=500)
+@example(ar=(0.3, -0.2, 0.1), ma=(1.0, 0.4, -0.3, 0.2), length=500)
+def test_impulse_response_equals_lfilter(ar, ma, length):
+    # the recursion is the one lfilter runs, so every value is bit-identical to it
+    model = ArmaModel(ar=ar, ma=tuple(ma), drive_std=1.0, sample_period=T_S)
+    assert np.array_equal(model.impulse_response(length), lfilter_impulse(model, length))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99, 0.99999])
+def test_taps_equal_doubling_lfilter_reference(a):
+    # reference: lfilter's response at each doubled length until its last value falls
+    # below 1e-12 of its peak, capped; the one-pass taps stop at the same length
+    model = ar1(a)
+    n = len(model.ma) + 10 * (len(model.ar) + len(model.ma))
+    while True:
+        h = lfilter_impulse(model, n)
+        if np.abs(h[-1]) < 1e-12 * np.abs(h).max() or n >= _STABILITY_MAX_STEPS:
+            break
+        n = min(2 * n, _STABILITY_MAX_STEPS)
+    assert np.array_equal(model.taps(), h)
+
+
+@pytest.mark.parametrize("model", [AR2, white(0.3)], ids=["ar2", "ma"])
+def test_taps_are_computed_once_and_read_only(model):
+    taps = model.taps()
+    assert model.taps() is taps
+    assert not taps.flags.writeable
+    with pytest.raises(ValueError):
+        taps[0] = 0.0
 
 
 # ---------------------------------------------------------------------------
