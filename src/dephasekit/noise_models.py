@@ -109,16 +109,22 @@ class ArmaModel:
 
     def taps(self) -> np.ndarray:
         """Impulse response h, ``ma`` for a pure-MA model; else doubled from (q+1) + 10(p+q+1)
-        until |h[-1]| < 1e-12 max|h|, capped at ``_STABILITY_MAX_STEPS``, in one pass of
-        :meth:`_impulse`.  The one filter, computed once per model and read-only."""
+        until |h[-1]| < 1e-12 max|h|, in one pass of :meth:`_impulse`.  A response that has
+        not decayed that far at ``_STABILITY_MAX_STEPS`` taps raises ``ValueError``.  The one
+        filter, computed once per model and read-only."""
         h = self.__dict__.get("_taps")
         if h is None:
             h, n, impulse = [], len(self.ma) + 10 * (len(self.ar) + len(self.ma)), self._impulse()
             while self.ar:
                 h += islice(impulse, n - len(h))
                 peak = max(map(abs, h))
-                if peak == 0.0 or abs(h[-1]) < 1e-12 * peak or n >= _STABILITY_MAX_STEPS:
+                if peak == 0.0 or abs(h[-1]) < 1e-12 * peak:
                     break
+                if n >= _STABILITY_MAX_STEPS:
+                    raise ValueError(
+                        f"model with ar={list(self.ar)} has memory past the {n}-tap cap: largest "
+                        f"AR root modulus {self._ar_root_radius():.6g}, last tap "
+                        f"{abs(h[-1]) / peak:.2g} of the peak (need < 1e-12)")
                 n = min(2 * n, _STABILITY_MAX_STEPS)
             h = np.array(h if self.ar else self.ma, dtype=float)
             h.setflags(write=False)
@@ -290,9 +296,7 @@ def autocovariance(model: ArmaModel, max_lag: int) -> np.ndarray:
     """r(0..max_lag) of the stationary process.
 
     Computed from the taps h as r(k) = drive_std^2 * sum_t h_t h_{t+k}; their cut at 1e-12
-    of the peak keeps the truncation error below 1e-9 relative when the taps decay that
-    far within the 500,000-tap cap.  Past it the cut is silent: at AR(1) a = 0.99999 the
-    taps end at e^-5 of the peak and r(0) is 4.5e-5 relative low.
+    of the peak keeps the truncation error below 1e-9 relative.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")

@@ -1,10 +1,11 @@
 """Monte-Carlo single-qubit simulation of probe sequences under phase noise.
 
-Each shot propagates an exact 2x2 unitary: prepare an equal superposition
-with R_x(pi/2); for every slot apply the dephasing error R_z(phi_j +
-native_j) followed by the slot's gate (identity, or R_x(+-(pi + eps +
-delta_j)) for pulse slots); close with the R_x(+-pi/2) gate that returns a
-noiseless qubit to the target state; measure.
+Each shot prepares an equal superposition with R_x(pi/2); for every slot it applies
+the dephasing error R_z(phi_j + native_j) followed by the slot's gate (identity, or
+R_x(+-(pi + eps + delta_j)) for pulse slots); it closes with the R_x(+-pi/2) gate that
+returns a noiseless qubit to the target state, and measures.  With perfect pulses
+(eps = delta = 0) the survival is the closed form (1 + cos Phi) / 2, Phi = sum_j y_j phi_j
+weighted by the switching function; imperfect pulses propagate the exact 2x2 unitary.
 
 Two injection styles are supported: GATE mode shares one trajectory across a
 block of shots (fresh trajectory per repetition), while SDR mode gives every
@@ -31,10 +32,10 @@ from .seeds import (
     SeedLineage,
     as_lineage,
 )
-from .sequences import PulseSequence, chi_time_domain
+from .sequences import PulseSequence, chi_time_domain, switching_function
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# most normals one stream of one sequence may hold, or draw for an SDR injected stream
+# most normals one stream of one sequence may hold: rows x (len(taps) - 1 + steps)
 _MAX_STREAM_NORMALS = 2**24
 
 
@@ -107,10 +108,13 @@ def _propagate(
     jitter: np.ndarray,
     target_state: int,
 ) -> np.ndarray:
-    """Survival probabilities for a batch of trajectories (rows of ``phases``)."""
+    """Survival probabilities for a batch of trajectories (rows of ``phases``): (1 + cos Phi) / 2
+    for perfect pulses and either target state, else the 2x2 unitary, one segment at a time."""
     n_traj, n_slots = phases.shape
     if n_slots != seq.n_slots:
         raise ValueError("phase array does not match sequence slot count")
+    if over_rotation == 0.0 and not jitter.any():
+        return 0.5 + 0.5 * np.cos(phases @ switching_function(seq))
     psi0 = np.full(n_traj, _INV_SQRT2, dtype=complex)
     psi1 = np.full(n_traj, -1j * _INV_SQRT2, dtype=complex)
     # z-rotations commute, so each inter-pulse segment is one rotation by its summed
@@ -123,11 +127,6 @@ def _propagate(
         angle = sign * (np.pi + over_rotation + jitter[:, idx])
         c = np.cos(0.5 * angle)
         s = np.sin(0.5 * angle)
-        # a perfect pi rotation is exactly -+iX; cos(pi/2) in floats is
-        # ~6e-17, so snap it to keep ideal pulses exact
-        exact = np.abs(angle) == np.pi
-        if exact.any():
-            c = np.where(exact, 0.0, c)
         psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
     psi0 = psi0 * ez[:, -1]
     psi1 = psi1 * np.conj(ez[:, -1])
@@ -149,9 +148,9 @@ def run_shot(
 ) -> float:
     """Exact survival probability for one trajectory (and one jitter draw).
 
-    With perfect pulses this equals (1 + cos Phi) / 2 where Phi is the
-    switching-function-weighted sum of the slot phases, to 1e-12 absolute.
-    Both trajectories must be sampled at the gate period and cover every slot.
+    With perfect pulses it is (1 + cos Phi) / 2, where Phi is the switching-function-weighted
+    sum of the slot phases, as :func:`_propagate` computes it.  Both trajectories must be
+    sampled at the gate period and cover every slot.
     """
     n = seq.n_slots
     for traj, role in ((trajectory, "trajectory"), (native, "native trajectory")):
@@ -168,13 +167,9 @@ def run_shot(
     return float(p[0])
 
 
-def _check_gate_aligned(
-    sampled: "ArmaModel | Trajectory | None", period: float, role: str,
-    period_name: str = "the gate period",
-) -> None:
+def _check_gate_aligned(sampled: "ArmaModel | Trajectory", period: float, role: str,
+                        period_name: str = "the gate period") -> None:
     """Reject a model or trajectory not sampled at ``period`` (the gate period by default)."""
-    if sampled is None:
-        return
     if not np.isclose(sampled.sample_period, period, rtol=1e-9, atol=0.0):
         raise ValueError(
             f"{role} sample_period {sampled.sample_period!r} must equal "
@@ -210,22 +205,27 @@ def _injected_gate_phases(
     """(trajectories, n_slots) gate-mode injected phases of ``seq``, as simulated and exported.
 
     Row r equals ``generate_trajectory(model, seq.n_slots, root.child(seq.label, r,
-    STREAM_INJECTED))``.  The model must be stable and sampled at the gate period.
+    STREAM_INJECTED))``.  The stream must pass :func:`_check_stream` at the gate period.
     """
-    model.check_stable()
-    _check_gate_aligned(model, seq.gate_period, "injected model")
-    _check_held_normals(trajectories, seq.n_slots, model)
+    _check_stream(model, seq.gate_period, trajectories, seq.n_slots, "injected model",
+                  "the gate period")
     rows = as_lineage(seed).child(seq.label).row_generators(trajectories, STREAM_INJECTED)
     return _model_phases(model, rows, trajectories, seq.n_slots)
 
 
-def _check_held_normals(rows: int, n_slots: int, *models: Optional[ArmaModel]) -> None:
-    """Refuse a stream holding rows x (len(taps) - 1 + n_slots) > _MAX_STREAM_NORMALS normals."""
-    for m in models:
-        held = rows * (len(m.taps()) - 1 + n_slots) if m is not None and m.drive_std else 0
-        if held > _MAX_STREAM_NORMALS:
-            raise ValueError(f"a model with {len(m.taps())} taps holds {held} normals in one "
-                             f"stream of {rows} rows, above {_MAX_STREAM_NORMALS}")
+def _check_stream(model: Optional[ArmaModel], period: float, rows: int, steps: int, role: str,
+                  period_name: str) -> None:
+    """Refuse a stream of ``rows`` x ``steps`` phases before any draw: an unstable model, one not
+    sampled at ``period``, or one holding rows x (len(taps) - 1 + steps) > _MAX_STREAM_NORMALS."""
+    if model is None:
+        return
+    model.check_stable()
+    _check_gate_aligned(model, period, role, period_name)
+    held = rows * (len(model.taps()) - 1 + steps) if model.drive_std else 0
+    if held > _MAX_STREAM_NORMALS:
+        raise ValueError(f"a model with {len(model.taps())} taps holds {held} normals in one "
+                         f"stream of {rows} rows, above {_MAX_STREAM_NORMALS} ({role} at "
+                         f"{period_name})")
 
 
 def _sdr_steps(seq: PulseSequence, model: ArmaModel, mode: SdrMode) -> int:
@@ -267,9 +267,9 @@ def run_experiment(
 ) -> "list[ExperimentRecord]":
     """Simulate every sequence and return survival records, deterministic per seed.
 
-    ``target_state``, both models' stability and the sample periods are checked
-    here, before any sequence runs.  Sequences then run one per available CPU at a time;
-    each draws only its own streams, so the records do not depend on the worker count.
+    ``target_state`` and both streams' :func:`_check_stream` are checked here, before any
+    sequence runs.  Sequences then run one per available CPU at a time; each draws only its
+    own streams, so the records do not depend on the worker count.
     """
     if not sequences:
         raise ValueError("at least one sequence is required")
@@ -277,26 +277,19 @@ def run_experiment(
         raise ValueError(f"target_state must be 0 or 1, got {target_state!r}")
     perr = pulse_errors or PulseErrorModel()
     root = as_lineage(seed)
-    for m in (model, native_model):
-        if m is not None:
-            m.check_stable()
     gate_period = sequences[0].gate_period
     if any(not np.isclose(s.gate_period, gate_period, rtol=1e-12) for s in sequences):
         raise ValueError("all sequences must share one gate period")
-    _check_gate_aligned(native_model, gate_period, "native model")
+    n_slots = max(s.n_slots for s in sequences)
     if isinstance(mode, GateMode):
-        _check_gate_aligned(model, gate_period, "injected model")
-        _check_held_normals(mode.trajectories, max(s.n_slots for s in sequences), model, native_model)
+        rows, steps, period, name = mode.trajectories, n_slots, gate_period, "the gate period"
     elif isinstance(mode, SdrMode):
-        _check_gate_aligned(model, mode.phase_update_period, "injected model",
-                            "the SDR phase_update_period")
-        block = mode.shots * (model.burn_in + max(_sdr_steps(s, model, mode) for s in sequences))
-        if block > _MAX_STREAM_NORMALS:
-            raise ValueError(f"phase_update_period {mode.phase_update_period!r} needs an SDR "
-                             f"block of {block} normals, above {_MAX_STREAM_NORMALS}")
-        _check_held_normals(mode.shots, max(s.n_slots for s in sequences), native_model)
+        rows, period, name = mode.shots, mode.phase_update_period, "the SDR phase_update_period"
+        steps = max(_sdr_steps(s, model, mode) for s in sequences)
     else:
         raise ValueError(f"unsupported mode {mode!r}")
+    _check_stream(model, period, rows, steps, "injected model", name)
+    _check_stream(native_model, gate_period, rows, n_slots, "native model", "the gate period")
     # lazy: concurrent.futures pulls in logging, about 25 ms of every CLI command's start-up
     from concurrent.futures import ThreadPoolExecutor
 

@@ -84,9 +84,13 @@ CASES = {
     ),
     "experiment-mode": (lambda: run_experiment(_seqs(), MODEL, mode="gate"), "unsupported mode"),
     "experiment-held-normals": (
-        lambda: run_experiment(_seqs(), ArmaModel(ar=(0.99999,), ma=(1.0,), drive_std=1.0,
+        lambda: run_experiment(_seqs(), ArmaModel(ar=(0.9999,), ma=(1.0,), drive_std=1.0,
                                                   sample_period=T_G), mode=GateMode(300, 1)),
-        "a model with 500000 taps holds 150004500 normals in one stream of 300 rows, above 16777216",
+        "a model with 344064 taps holds 103223700 normals in one stream of 300 rows, above 16777216",
+    ),
+    "taps-memory-cap": (
+        lambda: ArmaModel(ar=(0.99999,), ma=(1.0,), drive_std=1.0, sample_period=T_G).taps(),
+        r"past the 500000-tap cap: largest AR root modulus 0\.99999",
     ),
     "shot-native-short": (
         lambda: run_shot(_seqs()[0], generate_trajectory(MODEL, 16, 0),

@@ -269,15 +269,21 @@ def test_impulse_response_equals_lfilter(ar, ma, length):
 @pytest.mark.parametrize("a", [0.5, 0.99, 0.99999])
 def test_taps_equal_doubling_lfilter_reference(a):
     # reference: lfilter's response at each doubled length until its last value falls
-    # below 1e-12 of its peak, capped; the one-pass taps stop at the same length
+    # below 1e-12 of its peak, capped; the one-pass taps stop at the same length, and
+    # refuse the model where the reference reaches the cap above 1e-12
     model = ar1(a)
     n = len(model.ma) + 10 * (len(model.ar) + len(model.ma))
     while True:
         h = lfilter_impulse(model, n)
-        if np.abs(h[-1]) < 1e-12 * np.abs(h).max() or n >= _STABILITY_MAX_STEPS:
+        decayed = np.abs(h[-1]) < 1e-12 * np.abs(h).max()
+        if decayed or n >= _STABILITY_MAX_STEPS:
             break
         n = min(2 * n, _STABILITY_MAX_STEPS)
-    assert np.array_equal(model.taps(), h)
+    if decayed:
+        assert np.array_equal(model.taps(), h)
+    else:
+        with pytest.raises(ValueError, match=f"past the {_STABILITY_MAX_STEPS}-tap cap"):
+            model.taps()
 
 
 @pytest.mark.parametrize("model", [AR2, white(0.3)], ids=["ar2", "ma"])

@@ -141,8 +141,17 @@ def propagation_case(draw):
 @example(case=(np.full((2, 3), 0.4), PulseSequence(3, (1, 3), (1, -1), T_G), 0.05,
                np.zeros((2, 2)), 1))  # pulses in the first and the last slot
 @example(case=(np.full((1, 4), 0.7), PulseSequence(4, (), (), T_G), 0.0, np.zeros((1, 0)), 0))
+# perfect pulses take the closed form: no pulse, and a pulse in the last slot, at both targets
+@example(case=(np.full((2, 4), 0.7), PulseSequence(4, (), (), T_G), 0.0, np.zeros((2, 0)), 1))
+@example(case=(np.linspace(-3.0, 3.0, 10).reshape(2, 5), PulseSequence(5, (2, 5), (1, -1), T_G),
+               0.0, np.zeros((2, 2)), 0))
+@example(case=(np.linspace(-3.0, 3.0, 10).reshape(2, 5), PulseSequence(5, (2, 5), (1, -1), T_G),
+               0.0, np.zeros((2, 2)), 1))
+@example(case=(np.array([[0.3, -1.2, 2.5]]), PulseSequence(3, (1,), (-1,), T_G), 0.0,
+               np.zeros((1, 1)), 0))
 def test_segment_propagation_matches_slot_by_slot(case):
-    # z-rotations commute: summing each inter-pulse segment's phases changes no survival
+    # z-rotations commute: summing each inter-pulse segment's phases changes no survival,
+    # and perfect pulses' closed form (1 + cos Phi) / 2 is the slot-by-slot unitary
     phases, seq, over_rotation, jitter, target_state = case
     got = _propagate(phases, seq, over_rotation, jitter, target_state)
     want = _slot_by_slot_propagate(phases, seq, over_rotation, jitter, target_state)
@@ -526,14 +535,14 @@ def test_gate_run_holds_only_filtered_columns():
     assert peak < full_width
 
 
-NEAR_UNIT_ROOT = ArmaModel(ar=(0.99999,), ma=(1.0,), drive_std=1.0, sample_period=T_G)
+NEAR_UNIT_ROOT = ArmaModel(ar=(0.9999,), ma=(1.0,), drive_std=1.0, sample_period=T_G)
 
 
 @pytest.mark.parametrize("case", ["gate-injected", "gate-native", "sdr-native", "sdr-injected",
                                   "export"])
 def test_long_memory_stream_refused_before_any_draw(case, monkeypatch):
-    # the warm-up spans a near-unit-root model's 500,000 taps: a stream of 300 rows would hold
-    # about 1.5e8 normals, so the precondition pass refuses it before any sequence draws
+    # the warm-up spans a near-unit-root model's 344,064 taps: a stream of 300 rows would hold
+    # about 1.0e8 normals, so the precondition pass refuses it before any sequence draws
     monkeypatch.setattr(qubit_sim, "_model_phases", lambda *args: pytest.fail("drew phases"))
     seqs = make_fttps(4, N, T_G)
     gate, sdr = GateMode(300, 1), SdrMode(300, T_G)
@@ -544,15 +553,30 @@ def test_long_memory_stream_refused_before_any_draw(case, monkeypatch):
         "sdr-injected": lambda: run_experiment(seqs, NEAR_UNIT_ROOT, mode=sdr),
         "export": lambda: qubit_sim._injected_gate_phases(seqs[0], NEAR_UNIT_ROOT, 300, 0),
     }
-    # an SDR injected stream keeps its bound on the normals drawn, warm-up included
-    message = "needs an SDR block" if case == "sdr-injected" else "a model with 500000 taps holds"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match="a model with 344064 taps holds"):
         calls[case]()
 
 
+def test_sdr_injected_stream_bounded_by_held_normals(monkeypatch):
+    # a 257-tap SDR row of 4 update steps draws 2570 + 4 normals and holds 256 + 4: 6,600
+    # shots draw 17.0 M normals, above 2^24, but hold 1.7 M, so the run is accepted; the
+    # refusal starts one shot past 2^24 / 260 held normals and names the update period
+    monkeypatch.setattr(qubit_sim, "_run_sequence", lambda seq, *args: seq.label)
+    model, seqs = design_bandpass(1.0e6, 0.2e6, 1.0e-3, T_G), [PulseSequence(1, (), (), T_G)]
+    assert (model.burn_in, qubit_sim._sdr_steps(seqs[0], model, SdrMode(1, T_G))) == (2570, 4)
+    assert 6600 * 2574 > 2**24 > 6600 * 260
+    assert run_experiment(seqs, model, mode=SdrMode(6600, T_G)) == [0]
+    assert run_experiment(seqs, model, mode=SdrMode(2**24 // 260, T_G)) == [0]
+    with pytest.raises(ValueError, match=r"holds 16777280 normals in one stream of 64528 rows, "
+                                         r"above 16777216 \(injected model at the SDR "
+                                         r"phase_update_period\)"):
+        run_experiment(seqs, model, mode=SdrMode(2**24 // 260 + 1, T_G))
+
+
 def test_gate_mode_survival_clipped_to_unit_interval():
-    # this sequence's propagated survival overshoots 1 by about 1e-15 on one
-    # trajectory; unclipped, Generator.binomial rejects it
+    # propagated through the unitary, this sequence's survival overshoots 1 by about 1e-15
+    # on one trajectory, which Generator.binomial rejects unclipped; its pulses are perfect,
+    # so it takes the closed form, which stays in [0, 1], and the clip guards imperfect pulses
     seq = make_fttps(64, 128, 1e-7)[53]
     model = design_bandpass(1.0e6, 0.2e6, 1.0e-3, 1e-7)
     (rec,) = run_experiment([seq], model, mode=GateMode(200, 1000), seed=14)
