@@ -237,24 +237,46 @@ def _unit_normals(source, shape: "tuple[int, int]", keep: "int | None" = None) -
     return out
 
 
-def _model_phases(model: "ArmaModel | None", source, rows: int, steps: int) -> np.ndarray:
-    """(rows, steps) phases of ``model``, each row drawn from ``source`` by :func:`_unit_normals`.
+def _kept_normals(model: ArmaModel, source, rows: int, steps: int) -> np.ndarray:
+    """(rows, len(taps) - 1 + steps) unit normals, those that ``steps`` phases of ``model``
+    read: a row draws ``burn_in + steps`` from ``source`` by :func:`_unit_normals` and keeps
+    the last.  The one place that sets the kept width."""
+    return _unit_normals(source, (rows, model.burn_in + steps), len(model.taps()) - 1 + steps)
 
-    The one synthesizer.  A silent or absent model gives zeros and draws nothing.  Otherwise a
-    row is ``burn_in + steps`` normals, of which it keeps the last len(taps) - 1 + steps.
+
+def _model_phases(model: "ArmaModel | None", source, rows: int, steps: int) -> np.ndarray:
+    """(rows, steps) phases of ``model``, each row filtered from :func:`_kept_normals`.
+
+    The one synthesizer.  A silent or absent model gives zeros and draws nothing.
     """
     if model is None or model.drive_std == 0.0:
         return np.zeros((rows, steps))
-    normals = _unit_normals(source, (rows, model.burn_in + steps), len(model.taps()) - 1 + steps)
-    return _synthesize_phases(model, normals, steps)
+    return _synthesize_phases(model, _kept_normals(model, source, rows, steps), steps)
+
+
+def _model_phase_sums(model: "ArmaModel | None", source, rows: int,
+                      weights: np.ndarray) -> np.ndarray:
+    """(rows,) weighted sums ``_model_phases(model, source, rows, len(weights)) @ weights``,
+    equal to rounding, without forming a phase row.
+
+    A phase is the "valid" convolution of the kept normals with the taps, so the sum is the
+    kept normals times drive_std * np.convolve(weights, taps[::-1]): one matrix-vector
+    product.  It draws exactly what :func:`_model_phases` draws.
+    """
+    if model is None or model.drive_std == 0.0:
+        return np.zeros(rows)
+    normals = _kept_normals(model, source, rows, len(weights))
+    return normals @ (model.drive_std * np.convolve(weights, model.taps()[::-1]))
 
 
 def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:
     """Scale unit normals by ``drive_std`` in place, filter the last axis, keep ``steps``.
 
-    The one kernel: a "valid" ``np.convolve`` of each row with ``model.taps()``, so output t
-    reads inputs t-len(taps)+1..t and starts stationary.  For a pure-MA model it is the kernel
-    ``lfilter``'s FIR path runs, so every output equals a whole-row filter's.
+    The one filter kernel of every phase row: a "valid" ``np.convolve`` of each row with
+    ``model.taps()``, so output t reads inputs t-len(taps)+1..t and starts stationary.  For a
+    pure-MA model it is the kernel ``lfilter``'s FIR path runs, so every output equals a
+    whole-row filter's.  A perfect-pulse gate stream forms no phase rows: it takes
+    :func:`_model_phase_sums`.
     """
     normals *= model.drive_std
     phases = np.apply_along_axis(np.convolve, -1, normals, model.taps(), "valid")

@@ -6,6 +6,9 @@ R_x(+-(pi + eps + delta_j)) for pulse slots); it closes with the R_x(+-pi/2) gat
 returns a noiseless qubit to the target state, and measures.  With perfect pulses
 (eps = delta = 0) the survival is the closed form (1 + cos Phi) / 2, Phi = sum_j y_j phi_j
 weighted by the switching function; imperfect pulses propagate the exact 2x2 unitary.
+Phi is linear in the normals a stream keeps, so a perfect-pulse gate run takes it as one
+matrix-vector product per stream and forms no phase rows; SDR mode, imperfect pulses and
+``run_shot`` form the phases.
 
 Two injection styles are supported: GATE mode shares one trajectory across a
 block of shots (fresh trajectory per repetition), while SDR mode gives every
@@ -23,7 +26,14 @@ from typing import Optional
 
 import numpy as np
 
-from .noise_models import ArmaModel, Trajectory, _model_phases, _unit_normals, autocovariance
+from .noise_models import (
+    ArmaModel,
+    Trajectory,
+    _model_phase_sums,
+    _model_phases,
+    _unit_normals,
+    autocovariance,
+)
 from .seeds import (
     STREAM_INJECTED,
     STREAM_MEASUREMENT,
@@ -101,6 +111,11 @@ class ExperimentRecord:
         return self.shots * self.trajectories
 
 
+def _ideal_survival(phi: np.ndarray) -> np.ndarray:
+    """Survival (1 + cos Phi) / 2 of perfect pulses, for either target state."""
+    return 0.5 + 0.5 * np.cos(phi)
+
+
 def _propagate(
     phases: np.ndarray,
     seq: PulseSequence,
@@ -114,7 +129,7 @@ def _propagate(
     if n_slots != seq.n_slots:
         raise ValueError("phase array does not match sequence slot count")
     if over_rotation == 0.0 and not jitter.any():
-        return 0.5 + 0.5 * np.cos(phases @ switching_function(seq))
+        return _ideal_survival(phases @ switching_function(seq))
     psi0 = np.full(n_traj, _INV_SQRT2, dtype=complex)
     psi1 = np.full(n_traj, -1j * _INV_SQRT2, dtype=complex)
     # z-rotations commute, so each inter-pulse segment is one rotation by its summed
@@ -146,7 +161,7 @@ def run_shot(
     seed: "int | SeedLineage" = 0,
     target_state: int = 1,
 ) -> float:
-    """Exact survival probability for one trajectory (and one jitter draw).
+    """Exact survival probability for one trajectory (and one jitter draw if ``jitter_std > 0``).
 
     With perfect pulses it is (1 + cos Phi) / 2, where Phi is the switching-function-weighted
     sum of the slot phases, as :func:`_propagate` computes it.  Both trajectories must be
@@ -162,7 +177,9 @@ def run_shot(
     if native is not None:
         phases = phases + native.phases[:n]
     perr = pulse_errors or PulseErrorModel()
-    jitter = perr.jitter_std * _unit_normals(as_lineage(seed), (1, seq.n_pulses))
+    jitter = np.zeros((1, seq.n_pulses))
+    if perr.jitter_std > 0:
+        jitter = perr.jitter_std * _unit_normals(as_lineage(seed), jitter.shape)
     p = _propagate(phases[None, :], seq, perr.over_rotation, jitter, target_state)
     return float(p[0])
 
@@ -323,21 +340,27 @@ def _run_sequence(
         """Gate row r is drawn at (k, r, stream), the SDR block at (k, 0, stream)."""
         return root.child(k, 0, stream) if sdr else root.child(k).row_generators(rows, stream)
 
-    if sdr:
-        rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
-        offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
-                   if mode.random_time_offset else np.zeros(rows))
-        phases = _sdr_slot_phases(
-            _model_phases(model, source(STREAM_INJECTED), rows, _sdr_steps(seq, model, mode)),
-            model.sample_period, seq.n_slots, seq.gate_period, offsets,
-        )
+    if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
+        # perfect pulses read only Phi, which is linear in each stream's kept normals
+        y = switching_function(seq)
+        p = _ideal_survival(_model_phase_sums(model, source(STREAM_INJECTED), rows, y)
+                            + _model_phase_sums(native_model, source(STREAM_NATIVE), rows, y))
     else:
-        phases = _model_phases(model, source(STREAM_INJECTED), rows, seq.n_slots)
-    phases = phases + _model_phases(native_model, source(STREAM_NATIVE), rows, seq.n_slots)
-    jitter = np.zeros((rows, seq.n_pulses))
-    if perr.jitter_std > 0:
-        jitter = perr.jitter_std * _unit_normals(source(STREAM_PULSE_JITTER), jitter.shape)
-    p = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
+        if sdr:
+            rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
+            offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
+                       if mode.random_time_offset else np.zeros(rows))
+            phases = _sdr_slot_phases(
+                _model_phases(model, source(STREAM_INJECTED), rows, _sdr_steps(seq, model, mode)),
+                model.sample_period, seq.n_slots, seq.gate_period, offsets,
+            )
+        else:
+            phases = _model_phases(model, source(STREAM_INJECTED), rows, seq.n_slots)
+        phases = phases + _model_phases(native_model, source(STREAM_NATIVE), rows, seq.n_slots)
+        jitter = np.zeros((rows, seq.n_pulses))
+        if perr.jitter_std > 0:
+            jitter = perr.jitter_std * _unit_normals(source(STREAM_PULSE_JITTER), jitter.shape)
+        p = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     if sdr:
         shots, fractions = 1, (rng_meas.random(rows) < p).astype(float)
     else:

@@ -1,6 +1,7 @@
 """Simulator tests: unitary-propagation oracles, mode equivalence, seeding."""
 
 import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dephasekit import qubit_sim
+from dephasekit import noise_models, qubit_sim
 from dephasekit.noise_models import (
     _SDR_DRAW_BLOCK,
     ArmaModel,
@@ -158,6 +159,24 @@ def test_segment_propagation_matches_slot_by_slot(case):
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def test_run_shot_with_perfect_pulses_draws_no_jitter(monkeypatch):
+    # a zero jitter_std draws no jitter stream; the value is the one a zero-scaled draw gave
+    seq = make_fttps(4, N, T_G)[3]
+    traj = generate_trajectory(WHITE_01, N, seed=8)
+    zero_scaled = 0.0 * _unit_normals(SeedLineage(7), (1, seq.n_pulses))
+    before = float(_propagate(traj.phases[None, :], seq, 0.0, zero_scaled, 1)[0])
+    built = []
+    generator = SeedLineage.generator
+
+    def counted(self):
+        built.append(self.path)
+        return generator(self)
+
+    monkeypatch.setattr(SeedLineage, "generator", counted)
+    assert run_shot(seq, traj, seed=7) == before
+    assert built == []
+
+
 def test_run_shot_rejects_short_trajectory():
     seq = make_fttps(1, N, T_G)[0]
     with pytest.raises(ValueError, match="trajectory"):
@@ -279,10 +298,10 @@ def test_gate_mode_matches_run_shot():
     ids=["power-law-257-taps", "ar2"],
 )
 def test_gate_mode_stream_contract(model):
-    # every (sequence, trajectory) of a gate run is exactly run_shot on the
+    # every (sequence, trajectory) of a gate run is run_shot on the
     # generate_trajectory phases of its injected stream, sampled from its
-    # measurement stream: the batched and single-trajectory synthesis agree
-    # bit for bit
+    # measurement stream: the same binomial outcomes, with the gate run's
+    # survival probability agreeing with run_shot's to rounding
     seqs = make_fttps(4, N, T_G)
     mode = GateMode(trajectories=20, shots_per_trajectory=50)
     records = run_experiment(seqs, model, mode=mode, seed=19, keep_raw=True)
@@ -293,6 +312,65 @@ def test_gate_mode_stream_contract(model):
             p = run_shot(seq, generate_trajectory(model, seq.n_slots, lineage))
             rng = root.child(seq.label, r, STREAM_MEASUREMENT).generator()
             assert rec.trajectory_survivals[r] == rng.binomial(50, p) / 50
+
+
+# a 257-tap MA model, AR(2), AR(1) near its unit root (5,376 taps) and a silent model
+PHASE_SUM_MODELS = [
+    design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G),
+    ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G),
+    ArmaModel(ar=(0.99,), ma=(1.0,), drive_std=0.005, sample_period=T_G),
+    ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=T_G),
+]
+
+
+@st.composite
+def probe_sequence(draw):
+    n_slots = draw(st.integers(min_value=1, max_value=160))
+    k = draw(st.integers(min_value=0, max_value=n_slots - 1))
+    return draw(st.sampled_from([make_fttps, make_rfttps]))(k + 1, n_slots, T_G)[k]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(seq=probe_sequence(), model=st.sampled_from(PHASE_SUM_MODELS),
+       native=st.sampled_from([None] + PHASE_SUM_MODELS), target_state=st.sampled_from([0, 1]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_perfect_pulse_gate_survival_is_propagated_phases(seq, model, native, target_state,
+                                                          seed):
+    # a perfect-pulse gate run takes Phi as one product per stream of its kept normals; on
+    # the same rows, its (1 + cos Phi) / 2 is _propagate's on the synthesized phases
+    rows, survivals = 6, []
+    ideal_survival = qubit_sim._ideal_survival
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qubit_sim, "_ideal_survival",
+                      lambda phi: survivals.append(ideal_survival(phi)) or survivals[-1])
+        run_experiment([seq], model, native_model=native, mode=GateMode(rows, 1), seed=seed,
+                       target_state=target_state)
+    root = SeedLineage(seed).child(seq.label)
+    phases = sum(_model_phases(m, root.row_generators(rows, stream), rows, seq.n_slots)
+                 for m, stream in ((model, STREAM_INJECTED), (native, STREAM_NATIVE)))
+    want = _propagate(phases, seq, 0.0, np.zeros((rows, seq.n_pulses)), target_state)
+    assert len(survivals) == 1
+    assert np.max(np.abs(survivals[0] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("over_rotation", [0.0, 0.01])
+def test_only_imperfect_gate_pulses_form_phase_rows(over_rotation, monkeypatch):
+    # perfect gate pulses read only Phi, taken from the kept normals; an over-rotation needs
+    # every slot's phase, so that run synthesizes an injected and a native block per sequence
+    synthesize, synthesized = noise_models._synthesize_phases, []
+
+    def guarded(model, normals, steps):
+        if over_rotation == 0.0:
+            pytest.fail("a perfect-pulse gate run synthesized phase rows")
+        synthesized.append(model)
+        return synthesize(model, normals, steps)
+
+    monkeypatch.setattr(noise_models, "_synthesize_phases", guarded)
+    native = ArmaModel(ar=(0.5,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+    run_experiment(make_fttps(3, N, T_G), design_bandpass(2.0e6, 0.5e6, 1e-3, T_G, taps=101),
+                   native_model=native, pulse_errors=PulseErrorModel(over_rotation=over_rotation),
+                   mode=GateMode(trajectories=5, shots_per_trajectory=10), seed=3)
+    assert len(synthesized) == (0 if over_rotation == 0.0 else 6)
 
 
 def _golden_run(case):
@@ -502,15 +580,16 @@ def test_worker_count_does_not_change_records(mode, monkeypatch):
 
 
 def test_worker_error_reaches_caller_unchanged(monkeypatch):
+    # every sequence ends in _survival_stats; the third call, in whichever worker, raises
     raised = ValueError("phase array does not match sequence slot count")
-    propagate = qubit_sim._propagate
+    survival_stats, calls = qubit_sim._survival_stats, itertools.count()
 
-    def failing(phases, seq, *args):
-        if seq.label == 2:
+    def failing(fractions, shots):
+        if next(calls) == 2:
             raise raised
-        return propagate(phases, seq, *args)
+        return survival_stats(fractions, shots)
 
-    monkeypatch.setattr(qubit_sim, "_propagate", failing)
+    monkeypatch.setattr(qubit_sim, "_survival_stats", failing)
     monkeypatch.setattr(qubit_sim, "_cpu_count", lambda: 3)
     with pytest.raises(ValueError) as info:
         run_experiment(make_fttps(5, N, T_G), WHITE_01, mode=GateMode(3, 10), seed=1)
@@ -544,6 +623,7 @@ def test_long_memory_stream_refused_before_any_draw(case, monkeypatch):
     # the warm-up spans a near-unit-root model's 344,064 taps: a stream of 300 rows would hold
     # about 1.0e8 normals, so the precondition pass refuses it before any sequence draws
     monkeypatch.setattr(qubit_sim, "_model_phases", lambda *args: pytest.fail("drew phases"))
+    monkeypatch.setattr(noise_models, "_unit_normals", lambda *args: pytest.fail("drew normals"))
     seqs = make_fttps(4, N, T_G)
     gate, sdr = GateMode(300, 1), SdrMode(300, T_G)
     calls = {
