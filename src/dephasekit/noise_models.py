@@ -31,7 +31,8 @@ from .seeds import SeedLineage, as_lineage
 DEFAULT_GRID_SIZE = 4097
 DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
-# normals per draw call from one generator: coarse enough that threads rarely wait on the GIL
+# normals per draw block: a simulated sequence draws, filters and propagates this many at a
+# time, coarse enough that threads rarely wait on the GIL and the per-pulse loop stays cheap
 _SDR_DRAW_BLOCK = 2**17
 
 
@@ -215,37 +216,39 @@ def generate_trajectory(model: ArmaModel, length: int, seed: "int | SeedLineage"
 
 
 def _unit_normals(source, shape: "tuple[int, int]", keep: "int | None" = None) -> np.ndarray:
-    """The last ``keep`` (default all) columns of a (rows, cols) block of unit normals.
+    """The last ``keep`` (default all) columns of the next (rows, cols) unit normals of ``source``.
 
-    The one draw rule.  A :class:`SeedLineage` source draws the block row-major from its one
-    generator, about ``_SDR_DRAW_BLOCK`` normals per call; any other source yields ``(r, rng)``
-    pairs, as ``SeedLineage.row_generators`` does, and row r is one call on its ``rng``.
-    Every column is drawn into one reused buffer, so the kept values equal the full draw's.
+    The one draw rule.  An open source draws only the rows asked of it: a
+    ``np.random.Generator`` draws them row-major in one call and returns a view of the block,
+    and an iterator of ``(r, rng)`` pairs, as ``SeedLineage.row_generators`` yields, draws
+    each of its next rows on its own ``rng``, the leading columns into one scratch row and
+    the kept ones into the result.  A :class:`SeedLineage` is opened fresh as its
+    ``generator()``.  A stream drawn block by block from one open source therefore equals
+    its whole-stream draw.
     """
     rows, cols = shape
-    out = np.empty((rows, cols if keep is None else keep))
-    skip, step = cols - out.shape[1], 1
+    keep = cols if keep is None else keep
     if isinstance(source, SeedLineage):
-        rng = source.generator()
-        step = max(1, _SDR_DRAW_BLOCK // max(cols, 1))
-        source = ((r, rng) for r in range(0, rows, step))
-    buf = np.empty((min(step, rows), cols))
-    for r, rng in source:
-        block = buf[:min(step, rows - r)]
-        rng.standard_normal(out=block)
-        out[r:r + len(block)] = block[:, skip:]
+        source = source.generator()
+    if isinstance(source, np.random.Generator):
+        return source.standard_normal((rows, cols))[:, cols - keep:]
+    out, skipped = np.empty((rows, keep)), np.empty(cols - keep)
+    for row, (_, rng) in zip(out, source):
+        rng.standard_normal(out=skipped)
+        rng.standard_normal(out=row)
     return out
 
 
 def _kept_normals(model: ArmaModel, source, rows: int, steps: int) -> np.ndarray:
     """(rows, len(taps) - 1 + steps) unit normals, those that ``steps`` phases of ``model``
-    read: a row draws ``burn_in + steps`` from ``source`` by :func:`_unit_normals` and keeps
-    the last.  The one place that sets the kept width."""
+    read: each of the next ``rows`` rows of ``source`` draws ``burn_in + steps`` by
+    :func:`_unit_normals` and keeps the last.  The one place that sets the kept width."""
     return _unit_normals(source, (rows, model.burn_in + steps), len(model.taps()) - 1 + steps)
 
 
 def _model_phases(model: "ArmaModel | None", source, rows: int, steps: int) -> np.ndarray:
-    """(rows, steps) phases of ``model``, each row filtered from :func:`_kept_normals`.
+    """(rows, steps) phases of ``model``, each row filtered from :func:`_kept_normals` of the
+    next ``rows`` rows of ``source``.
 
     The one synthesizer.  A silent or absent model gives zeros and draws nothing.
     """

@@ -350,8 +350,8 @@ def bootstrap_spectrum(
     """Trajectory-level bootstrap of the reconstruction.
 
     Per resample, each sequence's retained per-trajectory survivals are
-    resampled with replacement (one draw per record, in record order), their
-    means and stderrs recomputed by one call per trajectory count, and the
+    resampled with replacement (one draw call for all records, in record order),
+    their means and stderrs recomputed by one call per trajectory count, and the
     inversion re-run on the bin grid of the point estimate.  The binned filter
     matrix is built once for all records; a resample keeps the rows of its
     unsaturated records.
@@ -363,17 +363,23 @@ def bootstrap_spectrum(
     point = reconstruct_spectrum(records, filters, bins, ridge, saturation_floor)
     root = as_lineage(seed)
     design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
-    sizes = [r.trajectory_survivals.size for r in records]
+    survivals = np.concatenate([r.trajectory_survivals for r in records])
+    sizes = np.array([r.trajectory_survivals.size for r in records])
+    starts = np.cumsum(sizes) - sizes
+    # one call draws every record's indices: the same as one integers(0, n, n) per record
+    bounds, offsets = np.repeat(sizes, sizes), np.repeat(starts, sizes)
     shots = np.array([r.shots for r in records])
-    groups = [np.flatnonzero(np.equal(sizes, n)) for n in set(sizes)]
+    groups = []  # (records, their (k, n) positions in survivals) per trajectory count n
+    for n in set(sizes.tolist()):
+        idx = np.flatnonzero(sizes == n)
+        groups.append((idx, starts[idx, None] + np.arange(n)))
     means = np.empty(len(records))
     stderrs = np.empty(len(records))
     values = np.zeros((resamples, point.values.size))
     for b, rng in root.row_generators(resamples):
-        drawn = [r.trajectory_survivals[rng.integers(0, n, n)] for r, n in zip(records, sizes)]
-        for idx in groups:
-            means[idx], stderrs[idx] = _survival_stats(np.stack([drawn[i] for i in idx]),
-                                                       shots[idx])
+        drawn = survivals[offsets + rng.integers(0, bounds)]
+        for idx, at in groups:
+            means[idx], stderrs[idx] = _survival_stats(drawn[at], shots[idx])
         keep, chi, weights = _decays(means, stderrs, saturation_floor)
         if keep.any():  # an all-saturated resample contributes zeros
             _, values[b] = _weighted_inversion(design[keep], chi[keep], weights[keep], ridge)

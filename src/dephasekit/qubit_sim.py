@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .noise_models import (
+    _SDR_DRAW_BLOCK,
     ArmaModel,
     Trajectory,
     _model_phase_sums,
@@ -45,7 +46,8 @@ from .seeds import (
 from .sequences import PulseSequence, chi_time_domain, switching_function
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# most normals one stream of one sequence may hold: rows x (len(taps) - 1 + steps)
+# most normals one stream of one sequence may keep, rows x (len(taps) - 1 + steps): a run
+# holds one draw block of them at a time, an export holds them all
 _MAX_STREAM_NORMALS = 2**24
 
 
@@ -135,16 +137,21 @@ def _propagate(
     # z-rotations commute, so each inter-pulse segment is one rotation by its summed
     # phase; the zero column closes the last segment when a pulse sits in the last slot
     padded = np.concatenate([phases, np.zeros((n_traj, 1))], axis=1)
-    ez = np.exp(-0.5j * np.add.reduceat(padded, (0,) + seq.pulse_slots, axis=1))
-    for idx, sign in enumerate(seq.pulse_signs):
-        psi0 = psi0 * ez[:, idx]
-        psi1 = psi1 * np.conj(ez[:, idx])
-        angle = sign * (np.pi + over_rotation + jitter[:, idx])
-        c = np.cos(0.5 * angle)
-        s = np.sin(0.5 * angle)
-        psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
-    psi0 = psi0 * ez[:, -1]
-    psi1 = psi1 * np.conj(ez[:, -1])
+    # one row per segment (ez) and per pulse (c, s) for all trajectories, computed before the
+    # loop, which then only multiplies, so a block of rows pays little per pulse
+    ez = np.exp(np.multiply(-0.5j, np.add.reduceat(padded, (0,) + seq.pulse_slots, axis=1).T,
+                            order="C"))
+    ez_conj = np.conj(ez)
+    signs = np.array(seq.pulse_signs, dtype=float)[:, None]
+    half = 0.5 * np.multiply(signs, np.pi + over_rotation + jitter.T, order="C")
+    c, s = np.cos(half), np.sin(half)
+    js, njs = 1j * s, -1j * s
+    for idx in range(seq.n_pulses):
+        psi0 = psi0 * ez[idx]
+        psi1 = psi1 * ez_conj[idx]
+        psi0, psi1 = c[idx] * psi0 - js[idx] * psi1, njs[idx] * psi0 + c[idx] * psi1
+    psi0 = psi0 * ez[-1]
+    psi1 = psi1 * ez_conj[-1]
     half = seq.closing_sign(target_state) * np.pi / 4.0
     c, s = np.cos(half), np.sin(half)
     psi0, psi1 = c * psi0 - 1j * s * psi1, -1j * s * psi0 + c * psi1
@@ -233,7 +240,8 @@ def _injected_gate_phases(
 def _check_stream(model: Optional[ArmaModel], period: float, rows: int, steps: int, role: str,
                   period_name: str) -> None:
     """Refuse a stream of ``rows`` x ``steps`` phases before any draw: an unstable model, one not
-    sampled at ``period``, or one holding rows x (len(taps) - 1 + steps) > _MAX_STREAM_NORMALS."""
+    sampled at ``period``, or one whose rows keep rows x (len(taps) - 1 + steps) >
+    _MAX_STREAM_NORMALS normals in all."""
     if model is None:
         return
     model.check_stable()
@@ -332,35 +340,61 @@ def _run_sequence(
     target_state: int,
     keep_raw: bool,
 ) -> ExperimentRecord:
-    """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots."""
+    """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots.
+
+    Each stream's source is opened once, and the rows run one draw block at a time (about
+    ``_SDR_DRAW_BLOCK`` normals of the widest drawn row): a block draws its rows of every
+    stream, filters them, resamples them onto slots in SDR mode and propagates them before
+    the next block draws, so a worker's memory does not grow with rows.  The SDR offsets are
+    drawn before the first block and the measurement uniforms after the last, from the one
+    measurement generator.
+    """
     k, sdr = seq.label, isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
+    steps = _sdr_steps(seq, model, mode) if sdr else seq.n_slots
 
-    def source(stream: int):
-        """Gate row r is drawn at (k, r, stream), the SDR block at (k, 0, stream)."""
-        return root.child(k, 0, stream) if sdr else root.child(k).row_generators(rows, stream)
+    def draws(m: Optional[ArmaModel]) -> bool:
+        return m is not None and m.drive_std != 0.0
 
+    def source(stream: int, used: bool):
+        """Gate row r is drawn at (k, r, stream), the SDR stream at (k, 0, stream); an unused
+        stream draws nothing and opens nothing."""
+        if not used:
+            return None
+        if sdr:
+            return root.child(k, 0, stream).generator()
+        return root.child(k).row_generators(rows, stream)
+
+    injected = source(STREAM_INJECTED, draws(model))
+    native = source(STREAM_NATIVE, draws(native_model))
+    jitter_source = source(STREAM_PULSE_JITTER, perr.jitter_std > 0)
+    widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
+                                   ((model, steps), (native_model, seq.n_slots)) if draws(m)])
+    block = max(1, _SDR_DRAW_BLOCK // max(widest, 1))
+    y = None
     if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
         # perfect pulses read only Phi, which is linear in each stream's kept normals
         y = switching_function(seq)
-        p = _ideal_survival(_model_phase_sums(model, source(STREAM_INJECTED), rows, y)
-                            + _model_phase_sums(native_model, source(STREAM_NATIVE), rows, y))
-    else:
+    if sdr:
+        rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
+        offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
+                   if mode.random_time_offset else np.zeros(rows))
+    p = np.empty(rows)
+    for r in range(0, rows, block):
+        n = min(block, rows - r)
+        if y is not None:
+            p[r:r + n] = _ideal_survival(_model_phase_sums(model, injected, n, y)
+                                         + _model_phase_sums(native_model, native, n, y))
+            continue
+        phases = _model_phases(model, injected, n, steps)
         if sdr:
-            rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
-            offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
-                       if mode.random_time_offset else np.zeros(rows))
-            phases = _sdr_slot_phases(
-                _model_phases(model, source(STREAM_INJECTED), rows, _sdr_steps(seq, model, mode)),
-                model.sample_period, seq.n_slots, seq.gate_period, offsets,
-            )
-        else:
-            phases = _model_phases(model, source(STREAM_INJECTED), rows, seq.n_slots)
-        phases = phases + _model_phases(native_model, source(STREAM_NATIVE), rows, seq.n_slots)
-        jitter = np.zeros((rows, seq.n_pulses))
-        if perr.jitter_std > 0:
-            jitter = perr.jitter_std * _unit_normals(source(STREAM_PULSE_JITTER), jitter.shape)
-        p = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
+            phases = _sdr_slot_phases(phases, model.sample_period, seq.n_slots, seq.gate_period,
+                                      offsets[r:r + n])
+        phases += _model_phases(native_model, native, n, seq.n_slots)
+        jitter = np.zeros((n, seq.n_pulses))
+        if jitter_source is not None:
+            jitter = perr.jitter_std * _unit_normals(jitter_source, jitter.shape)
+        p[r:r + n] = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     if sdr:
         shots, fractions = 1, (rng_meas.random(rows) < p).astype(float)
     else:

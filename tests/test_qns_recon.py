@@ -524,6 +524,17 @@ def test_bootstrap_equals_per_resample_design(seqs, filters):
     assert np.array_equal(result.upper, np.quantile(values, 0.975, axis=0))
 
 
+@pytest.mark.parametrize("case", range(20))
+def test_one_call_resample_draw_equals_per_record_draws(case):
+    # bootstrap_spectrum draws all records' resample indices in one call with an array of
+    # bounds; numpy must give the per-record integers(0, n, n) draws and leave the same state
+    sizes = np.random.default_rng(case).choice([0, 1, 2, 3, 20, 255, 256, 257, 1000], 12)
+    one_call, per_record = np.random.default_rng(100 + case), np.random.default_rng(100 + case)
+    drawn = one_call.integers(0, np.repeat(sizes, sizes))
+    assert np.array_equal(drawn, np.concatenate([per_record.integers(0, n, n) for n in sizes]))
+    assert one_call.bit_generator.state == per_record.bit_generator.state
+
+
 @pytest.mark.parametrize(
     "case, power, recon_kwargs, digest",
     [

@@ -614,6 +614,83 @@ def test_gate_run_holds_only_filtered_columns():
     assert peak < full_width
 
 
+def test_sdr_run_memory_does_not_grow_with_shots():
+    # a sequence runs one draw block of about 2^17 normals at a time, so 3000 shots with
+    # native noise and imperfect pulses peak below the full-width block of just 600 shots,
+    # 600 x (1010 + 186) float64 normals; only offsets, survivals and outcomes grow with shots
+    update = 70e-9
+    model = design_bandpass(2.0e6, 0.5e6, 1e-3, update, taps=101)
+    native = ArmaModel(ar=(0.5,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+    seq = make_rfttps(8, N, T_G)[5]
+    kwargs = dict(native_model=native, pulse_errors=PulseErrorModel(0.02, 0.02), seed=3)
+    steps = qubit_sim._sdr_steps(seq, model, SdrMode(1, update))
+    run_experiment([seq], model, mode=SdrMode(3000, update), **kwargs)
+    full_width = 600 * (model.burn_in + steps) * 8
+    tracemalloc.start()
+    try:
+        run_experiment([seq], model, mode=SdrMode(3000, update), **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (model.burn_in, steps, full_width) == (1010, 186, 5_740_800)
+    assert peak < full_width
+
+
+def _whole_stream_survivals(seq, model, native, perr, mode, seed):
+    """A run's propagated survivals and outcomes, every stream drawn whole: whole-stream
+    ``_model_phases``, then ``_sdr_slot_phases`` in SDR mode, then one ``_propagate``."""
+    k, sdr = seq.label, isinstance(mode, SdrMode)
+    rows = mode.shots if sdr else mode.trajectories
+    root = SeedLineage(seed)
+
+    def source(stream):
+        return _source(root, k, stream, rows, sdr)
+
+    if sdr:
+        rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
+        offsets = rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
+        steps = qubit_sim._sdr_steps(seq, model, mode)
+        phases = _sdr_slot_phases(_model_phases(model, source(STREAM_INJECTED), rows, steps),
+                                  model.sample_period, seq.n_slots, T_G, offsets)
+    else:
+        phases = _model_phases(model, source(STREAM_INJECTED), rows, seq.n_slots)
+    phases = phases + _model_phases(native, source(STREAM_NATIVE), rows, seq.n_slots)
+    jitter = perr.jitter_std * _unit_normals(source(STREAM_PULSE_JITTER), (rows, seq.n_pulses))
+    p = _propagate(phases, seq, perr.over_rotation, jitter, 1)
+    if sdr:
+        return p, (rng_meas.random(rows) < p).astype(float)
+    shots = mode.shots_per_trajectory
+    return p, np.array([rng.binomial(shots, p[r]) / shots for r, rng in
+                        root.child(k).row_generators(rows, STREAM_MEASUREMENT)])
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (2, 1)],
+                         ids=["one-block", "one-block-plus-one", "two-blocks-plus-one"])
+@pytest.mark.parametrize("sdr", [False, True], ids=["gate", "sdr"])
+def test_block_boundaries_leave_every_row_unchanged(sdr, blocks, extra, monkeypatch):
+    # rows run one draw block at a time, 2^17 // (burn_in + steps) rows of the widest stream
+    # (115 gate rows, 109 SDR shots); every row equals the whole-stream draw's, bit for bit
+    period = 70e-9 if sdr else T_G
+    model = design_bandpass(2.0e6, 0.5e6, 1e-3, period, taps=101)
+    native = ArmaModel(ar=(0.5,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+    perr = PulseErrorModel(over_rotation=0.01, jitter_std=0.02)
+    seq = make_rfttps(8, N, T_G)[5]
+    steps = qubit_sim._sdr_steps(seq, model, SdrMode(1, period)) if sdr else N
+    block = _SDR_DRAW_BLOCK // (model.burn_in + steps)
+    rows = blocks * block + extra
+    mode = SdrMode(rows, period) if sdr else GateMode(rows, 20)
+    propagated, propagate = [], qubit_sim._propagate
+    monkeypatch.setattr(qubit_sim, "_propagate",
+                        lambda *args: propagated.append(propagate(*args)) or propagated[-1])
+    (rec,) = run_experiment([seq], model, native_model=native, pulse_errors=perr, mode=mode,
+                            seed=11, keep_raw=True)
+    p, fractions = _whole_stream_survivals(seq, model, native, perr, mode, 11)
+    assert block == (109 if sdr else 115)
+    assert [len(q) for q in propagated] == [block] * blocks + [extra] * (extra > 0)
+    assert np.array_equal(np.concatenate(propagated), p)
+    assert np.array_equal(rec.trajectory_survivals, fractions)
+
+
 NEAR_UNIT_ROOT = ArmaModel(ar=(0.9999,), ma=(1.0,), drive_std=1.0, sample_period=T_G)
 
 
