@@ -31,9 +31,6 @@ from .seeds import SeedLineage, as_lineage
 DEFAULT_GRID_SIZE = 4097
 DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
-# normals per draw block: a simulated sequence draws, filters and propagates this many at a
-# time, coarse enough that threads rarely wait on the GIL and the per-pulse loop stays cheap
-_SDR_DRAW_BLOCK = 2**17
 
 
 class UnstableModelError(ValueError):
@@ -75,10 +72,6 @@ class ArmaModel:
             raise ValueError(f"sample_period must be > 0, got {self.sample_period}")
         if self.drive_std > 0 and not any(b != 0.0 for b in self.ma):
             raise ValueError("at least one MA coefficient must be nonzero when drive_std > 0")
-
-    @property
-    def order(self) -> tuple[int, int]:
-        return len(self.ar), len(self.ma) - 1
 
     @property
     def burn_in(self) -> int:
@@ -211,7 +204,7 @@ def generate_trajectory(model: ArmaModel, length: int, seed: "int | SeedLineage"
         raise ValueError(f"length must be >= 1, got {length}")
     model.check_stable()
     lineage = as_lineage(seed)
-    phases = _model_phases(model, lineage, 1, length)[0]
+    phases = _model_phases(model, lineage.generator(), 1, length)[0]
     return Trajectory(phases=phases, sample_period=model.sample_period, seed_lineage=lineage)
 
 
@@ -222,14 +215,11 @@ def _unit_normals(source, shape: "tuple[int, int]", keep: "int | None" = None) -
     ``np.random.Generator`` draws them row-major in one call and returns a view of the block,
     and an iterator of ``(r, rng)`` pairs, as ``SeedLineage.row_generators`` yields, draws
     each of its next rows on its own ``rng``, the leading columns into one scratch row and
-    the kept ones into the result.  A :class:`SeedLineage` is opened fresh as its
-    ``generator()``.  A stream drawn block by block from one open source therefore equals
-    its whole-stream draw.
+    the kept ones into the result.  A stream drawn block by block from one open source
+    therefore equals its whole-stream draw.
     """
     rows, cols = shape
     keep = cols if keep is None else keep
-    if isinstance(source, SeedLineage):
-        source = source.generator()
     if isinstance(source, np.random.Generator):
         return source.standard_normal((rows, cols))[:, cols - keep:]
     out, skipped = np.empty((rows, keep)), np.empty(cols - keep)

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from .noise_models import (
-    _SDR_DRAW_BLOCK,
     ArmaModel,
     Trajectory,
     _model_phase_sums,
@@ -49,6 +48,9 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # most normals one stream of one sequence may keep, rows x (len(taps) - 1 + steps): a run
 # holds one draw block of them at a time, an export holds them all
 _MAX_STREAM_NORMALS = 2**24
+# normals per draw block: a simulated sequence draws, filters and propagates this many at a
+# time, coarse enough that threads rarely wait on the GIL and the per-pulse loop stays cheap
+_DRAW_BLOCK = 2**17
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ def run_shot(
     perr = pulse_errors or PulseErrorModel()
     jitter = np.zeros((1, seq.n_pulses))
     if perr.jitter_std > 0:
-        jitter = perr.jitter_std * _unit_normals(as_lineage(seed), jitter.shape)
+        jitter = perr.jitter_std * _unit_normals(as_lineage(seed).generator(), jitter.shape)
     p = _propagate(phases[None, :], seq, perr.over_rotation, jitter, target_state)
     return float(p[0])
 
@@ -228,13 +230,23 @@ def _injected_gate_phases(
 ) -> np.ndarray:
     """(trajectories, n_slots) gate-mode injected phases of ``seq``, as simulated and exported.
 
-    Row r equals ``generate_trajectory(model, seq.n_slots, root.child(seq.label, r,
-    STREAM_INJECTED))``.  The stream must pass :func:`_check_stream` at the gate period.
+    Row r equals ``generate_trajectory`` at (seq.label, r, STREAM_INJECTED), its
+    :func:`_stream_source` address.  The stream must pass :func:`_check_stream` at the gate period.
     """
     _check_stream(model, seq.gate_period, trajectories, seq.n_slots, "injected model",
                   "the gate period")
-    rows = as_lineage(seed).child(seq.label).row_generators(trajectories, STREAM_INJECTED)
+    rows = _stream_source(as_lineage(seed), seq, STREAM_INJECTED, trajectories, sdr=False)
     return _model_phases(model, rows, trajectories, seq.n_slots)
+
+
+def _stream_source(root: SeedLineage, seq: PulseSequence, stream: int, rows: int, sdr: bool):
+    """The open source of one stream of ``seq``, as :func:`_unit_normals` takes it: gate row r
+    draws on its own generator at (seq.label, r, stream), and every SDR row on the one
+    generator at (seq.label, 0, stream).  The one statement of where a simulator stream
+    draws."""
+    if sdr:
+        return root.child(seq.label, 0, stream).generator()
+    return root.child(seq.label).row_generators(rows, stream)
 
 
 def _check_stream(model: Optional[ArmaModel], period: float, rows: int, steps: int, role: str,
@@ -342,42 +354,35 @@ def _run_sequence(
 ) -> ExperimentRecord:
     """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots.
 
-    Each stream's source is opened once, and the rows run one draw block at a time (about
-    ``_SDR_DRAW_BLOCK`` normals of the widest drawn row): a block draws its rows of every
-    stream, filters them, resamples them onto slots in SDR mode and propagates them before
-    the next block draws, so a worker's memory does not grow with rows.  The SDR offsets are
-    drawn before the first block and the measurement uniforms after the last, from the one
-    measurement generator.
+    Each used stream's :func:`_stream_source` is opened once, and the rows run one draw block
+    at a time (about ``_DRAW_BLOCK`` normals of the widest drawn row): a block draws its rows
+    of every stream, filters them, resamples them onto slots in SDR mode and propagates them
+    before the next block draws, so a worker's memory does not grow with rows.  The SDR
+    offsets are drawn before the first block and the measurement uniforms after the last,
+    from the one measurement generator.
     """
-    k, sdr = seq.label, isinstance(mode, SdrMode)
+    sdr = isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
     steps = _sdr_steps(seq, model, mode) if sdr else seq.n_slots
 
     def draws(m: Optional[ArmaModel]) -> bool:
         return m is not None and m.drive_std != 0.0
 
-    def source(stream: int, used: bool):
-        """Gate row r is drawn at (k, r, stream), the SDR stream at (k, 0, stream); an unused
-        stream draws nothing and opens nothing."""
-        if not used:
-            return None
-        if sdr:
-            return root.child(k, 0, stream).generator()
-        return root.child(k).row_generators(rows, stream)
-
-    injected = source(STREAM_INJECTED, draws(model))
-    native = source(STREAM_NATIVE, draws(native_model))
-    jitter_source = source(STREAM_PULSE_JITTER, perr.jitter_std > 0)
+    # an unused stream draws nothing and opens nothing
+    injected, native, jitter_source = (
+        _stream_source(root, seq, stream, rows, sdr) if used else None
+        for stream, used in ((STREAM_INJECTED, draws(model)), (STREAM_NATIVE, draws(native_model)),
+                             (STREAM_PULSE_JITTER, perr.jitter_std > 0)))
     widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
                                    ((model, steps), (native_model, seq.n_slots)) if draws(m)])
-    block = max(1, _SDR_DRAW_BLOCK // max(widest, 1))
+    block = max(1, _DRAW_BLOCK // max(widest, 1))
     y = None
     if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
         # perfect pulses read only Phi, which is linear in each stream's kept normals
         y = switching_function(seq)
+    measurement = _stream_source(root, seq, STREAM_MEASUREMENT, rows, sdr)
     if sdr:
-        rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
-        offsets = (rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
+        offsets = (measurement.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
     p = np.empty(rows)
     for r in range(0, rows, block):
@@ -396,14 +401,14 @@ def _run_sequence(
             jitter = perr.jitter_std * _unit_normals(jitter_source, jitter.shape)
         p[r:r + n] = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     if sdr:
-        shots, fractions = 1, (rng_meas.random(rows) < p).astype(float)
+        shots, fractions = 1, (measurement.random(rows) < p).astype(float)
     else:
         shots, fractions = mode.shots_per_trajectory, np.empty(rows)
-        for r, rng in root.child(k).row_generators(rows, STREAM_MEASUREMENT):
+        for r, rng in measurement:
             fractions[r] = rng.binomial(shots, p[r]) / shots
     mean, stderr = map(float, _survival_stats(fractions, shots))
     return ExperimentRecord(
-        label=k,
+        label=seq.label,
         n_pulses=seq.n_pulses,
         survival_mean=mean,
         survival_stderr=stderr,

@@ -1182,7 +1182,6 @@ def test_cli_full_pipeline_byte_reproducible(pipeline, tmp_path):
         "injected_spectrum": str(out / "injected_psd.csv"),
         "grid_size": 1025,
         "model_kind": "white_only",
-        "n_starts": 2,
     }
     outputs = {}
     for tag in ("one", "two"):
@@ -1321,7 +1320,8 @@ def test_cli_seed_flag_overrides(tmp_path):
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal costs ~0.75 s per process and only AR synthesis needs it
+    # scipy.signal costs ~0.75 s per process, and no command needs it: the package computes
+    # an AR model's taps itself
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import dephasekit.cli, sys; assert 'scipy.signal' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -1341,9 +1341,9 @@ def test_cli_import_leaves_out_scipy():
 
 
 def test_cli_reconstruct_and_fit_run_without_scipy(pipeline):
-    # the README's reconstruct, with bootstrap, its Lorentzian fit, design, and AR-model
-    # synthesis in simulate and export-circuits run on numpy alone: each runs in a process
-    # where importing scipy fails
+    # all seven commands run on numpy alone: the README's reconstruct, with bootstrap, its
+    # Lorentzian fit, design, AR-model synthesis in simulate and export-circuits, ingest,
+    # and report with plot data; each runs in a process where importing scipy fails
     tmp, out, _ = pipeline
     ar2 = str(tmp / "ar2.json")
     write_model_json(ar2, ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0,
@@ -1363,6 +1363,10 @@ def test_cli_reconstruct_and_fit_run_without_scipy(pipeline):
         "simulate": dict(injection, model=str(out / "injected.json"), native_model=ar2,
                          mode="gate", shots_per_trajectory=10),
         "export-circuits": dict(injection, model=ar2),
+        "ingest": {"schema_version": 1, "records": run["records"], "sequences": run["sequences"]},
+        "report": {"schema_version": 1, "records": run["records"],  # reads the two above
+                   "reconstruction": str(tmp / "no-scipy" / "spectrum.csv"),
+                   "fit_report": str(tmp / "no-scipy" / "fit_report.json")},
     }
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; sys.modules['scipy'] = None; from dephasekit.cli import main; "
@@ -1370,9 +1374,12 @@ def test_cli_reconstruct_and_fit_run_without_scipy(pipeline):
     env = dict(os.environ, PYTHONPATH=str(src))
     for command, cfg in configs.items():
         argv = [command, "--config", write_json(tmp / f"{command}.json", cfg),
-                "--out-dir", str(tmp / "no-scipy")]
+                "--out-dir", str(tmp / "no-scipy")] + ["--emit-plot-data"] * (command == "report")
         done = subprocess.run([sys.executable, "-c", code, *argv], env=env, timeout=300,
                               capture_output=True, text=True)
         assert done.returncode == 0, (command, done.stderr)
     assert (tmp / "no-scipy" / "spectrum.csv").exists()
     assert json.loads((tmp / "no-scipy" / "fit_report.json").read_text())["converged"] is True
+    assert (tmp / "no-scipy" / "records_normalized.csv").exists()
+    assert "fit" in json.loads((tmp / "no-scipy" / "report.json").read_text())
+    assert (tmp / "no-scipy" / "plot_data.csv").exists()

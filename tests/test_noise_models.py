@@ -165,9 +165,8 @@ def test_ar_first_step_is_stationary(model):
     # 40,000 rows in blocks of 2,000, each block one lineage, bound the memory held
     rows, block = 40_000, 2_000
     lineage = SeedLineage(19)
-    first = np.concatenate(
-        [_model_phases(model, lineage.child(b), block, 4)[:, 0] for b in range(rows // block)]
-    )
+    first = np.concatenate([_model_phases(model, lineage.child(b).generator(), block, 4)[:, 0]
+                            for b in range(rows // block)])
     ratio = first.var() / autocovariance(model, 0)[0]
     assert abs(ratio - 1.0) <= 5 * np.sqrt(2 / rows)
 

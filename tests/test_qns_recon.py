@@ -192,6 +192,19 @@ def test_nnls_degenerate_systems(case, monkeypatch):
         assert np.abs(x - [1.0, 2.0, 0.5, 0.0, 0.0, 0.0]).max() <= 1e-9
 
 
+def test_passive_solve_falls_back_when_gram_is_singular():
+    # two identical unit columns: the Gram submatrix is not positive definite, its Cholesky
+    # raises, and the solve is lstsq's minimum-norm split on the columns
+    unit = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    b = np.array([1.0, 2.0, 0.0])
+    gram = unit.T @ unit
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    got = qns_recon._passive_solve(unit, gram, unit.T @ b, b, np.array([True, True]))
+    assert np.array_equal(got, np.linalg.lstsq(unit, b, rcond=None)[0])
+    np.testing.assert_allclose(got, [0.5, 0.5], rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # reconstruct_spectrum
 # ---------------------------------------------------------------------------
@@ -284,15 +297,29 @@ def test_exclusion_matches_zero_weight(seqs, filters):
     assert np.allclose(est_zero.values, est_drop.values, rtol=1e-6, atol=1e-12)
 
 
-def test_rank_deficiency_names_bins(seqs, filters):
-    # only low-k records: high-frequency bins of the full grid get no weight
+@pytest.mark.parametrize("case", ["rank-deficient", "dead-bins"])
+def test_rank_deficiency_names_bins(seqs, filters, case):
     model = ArmaModel(ar=(), ma=(0.05,), drive_std=1.0, sample_period=T_G)
     records = noiseless_records(model, seqs)
-    some = records[:8]
-    full = reconstruct_spectrum(records, filters)
-    with pytest.raises(RankDeficientError) as err:
-        reconstruct_spectrum(some, filters, bins_like=full)
-    assert len(err.value.bins) > 0
+    if case == "rank-deficient":
+        # 8 records cannot constrain the full set's 64 bins: the three least constrained
+        # are named
+        full = reconstruct_spectrum(records, filters)
+        with pytest.raises(RankDeficientError, match=r"^design matrix is rank deficient after "
+                           r"exclusions; least-constrained bins \[\d+, \d+, \d+\]$") as err:
+            reconstruct_spectrum(records[:8], filters, bins_like=full)
+        assert len(set(err.value.bins)) == 3
+        return
+    # more uniform bins than grid points: a bin that holds no grid point gets no weight
+    bins, coarse = 300, [filter_function(s, grid_size=257) for s in seqs]
+    grid = coarse[0].freqs
+    edges = np.linspace(0.0, grid[-1], bins + 1)
+    held = np.clip(np.searchsorted(edges, grid, side="right") - 1, 0, bins - 1)
+    empty = sorted(set(range(bins)) - set(held.tolist()))
+    with pytest.raises(RankDeficientError, match=r"^bins \[[\d, ]+\] receive no filter "
+                       r"weight from the usable sequences$") as err:
+        reconstruct_spectrum(records, coarse, bins=bins)
+    assert len(empty) == 43 and err.value.bins == empty
 
 
 def test_uniform_bins_option(seqs, filters):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from dephasekit import noise_models, qubit_sim
 from dephasekit.noise_models import (
-    _SDR_DRAW_BLOCK,
     ArmaModel,
     Trajectory,
     _model_phases,
@@ -23,6 +22,7 @@ from dephasekit.noise_models import (
     generate_trajectory,
 )
 from dephasekit.qubit_sim import (
+    _DRAW_BLOCK,
     GateMode,
     PulseErrorModel,
     SdrMode,
@@ -163,7 +163,7 @@ def test_run_shot_with_perfect_pulses_draws_no_jitter(monkeypatch):
     # a zero jitter_std draws no jitter stream; the value is the one a zero-scaled draw gave
     seq = make_fttps(4, N, T_G)[3]
     traj = generate_trajectory(WHITE_01, N, seed=8)
-    zero_scaled = 0.0 * _unit_normals(SeedLineage(7), (1, seq.n_pulses))
+    zero_scaled = 0.0 * _unit_normals(SeedLineage(7).generator(), (1, seq.n_pulses))
     before = float(_propagate(traj.phases[None, :], seq, 0.0, zero_scaled, 1)[0])
     built = []
     generator = SeedLineage.generator
@@ -487,7 +487,9 @@ def _full_width_normals(root, label, stream, shape, sdr):
 
 def _source(root, label, stream, rows, sdr):
     """Where the simulator draws one sequence's stream: one SDR block, or a generator per row."""
-    return root.child(label, 0, stream) if sdr else root.child(label).row_generators(rows, stream)
+    if sdr:
+        return root.child(label, 0, stream).generator()
+    return root.child(label).row_generators(rows, stream)
 
 
 @pytest.mark.parametrize(
@@ -497,11 +499,12 @@ def _source(root, label, stream, rows, sdr):
         (False, (7, 300), None),
         (False, (3, 0), None),
         (True, (5, 300), 40),
-        # 131 rows per block: two whole blocks and a partial one, then exactly two blocks
+        # one call draws all the rows asked, here 300 and then two draw blocks' worth of
+        # normals; the run's draw blocks are checked by the block-boundary test below
         (True, (300, 1000), 228),
-        (True, (2 * _SDR_DRAW_BLOCK // 1000, 1000), 1),
-        # a row wider than a block is drawn one row per call
-        (True, (3, _SDR_DRAW_BLOCK + 5), 17),
+        (True, (2 * _DRAW_BLOCK // 1000, 1000), 1),
+        # rows wider than a draw block, which a run draws one row per block
+        (True, (3, _DRAW_BLOCK + 5), 17),
         (True, (300, 1000), None),
         # a sequence without pulses has a zero-width jitter block
         (True, (600, 0), None),
@@ -549,7 +552,7 @@ def test_sdr_block_row_zero_is_generate_trajectory(model):
     # one draw rule and one synthesizer: the first shot of an SDR block is the trajectory
     # generate_trajectory draws at the block's lineage
     lineage = SeedLineage(43).child(2, 0, STREAM_INJECTED)
-    block = _model_phases(model, lineage, 150, N)
+    block = _model_phases(model, lineage.generator(), 150, N)
     assert np.array_equal(block[0], generate_trajectory(model, N, lineage).phases)
 
 
@@ -676,7 +679,7 @@ def test_block_boundaries_leave_every_row_unchanged(sdr, blocks, extra, monkeypa
     perr = PulseErrorModel(over_rotation=0.01, jitter_std=0.02)
     seq = make_rfttps(8, N, T_G)[5]
     steps = qubit_sim._sdr_steps(seq, model, SdrMode(1, period)) if sdr else N
-    block = _SDR_DRAW_BLOCK // (model.burn_in + steps)
+    block = _DRAW_BLOCK // (model.burn_in + steps)
     rows = blocks * block + extra
     mode = SdrMode(rows, period) if sdr else GateMode(rows, 20)
     propagated, propagate = [], qubit_sim._propagate
