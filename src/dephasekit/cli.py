@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits, noise_models, predictor, qns_recon, qubit_sim, serialize, sequences
+from .seeds import STREAM_VERSION
 from .serialize import SchemaError, field, number_list
 
 SCHEMA_VERSION = 1
@@ -224,6 +225,7 @@ def cmd_reconstruct(config: dict, args, out: Path) -> None:
         "excluded_sequences": [r.label for r in records if r.label not in estimate.labels],
         "bins": len(estimate.values),
         "seed": records[0].seed,
+        "stream_version": STREAM_VERSION,
         "integrated_power_rad2": estimate.integrated_power(),
     }
     if delta_path is not None:

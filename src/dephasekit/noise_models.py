@@ -31,6 +31,8 @@ from .seeds import SeedLineage, as_lineage
 DEFAULT_GRID_SIZE = 4097
 DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
+# most normals one standard_normal call of the draw rule draws, unless one row is wider
+_NORMALS_PER_CALL = 2**16
 
 
 class UnstableModelError(ValueError):
@@ -208,48 +210,45 @@ def generate_trajectory(model: ArmaModel, length: int, seed: "int | SeedLineage"
     return Trajectory(phases=phases, sample_period=model.sample_period, seed_lineage=lineage)
 
 
-def _unit_normals(source, shape: "tuple[int, int]", keep: "int | None" = None) -> np.ndarray:
-    """The last ``keep`` (default all) columns of the next (rows, cols) unit normals of ``source``.
+def _unit_normals(generator, shape: "tuple[int, int]", keep: "int | None" = None) -> np.ndarray:
+    """The last ``keep`` (default all) columns of the next (rows, cols) normals of ``generator``.
 
-    The one draw rule.  An open source draws only the rows asked of it: a
-    ``np.random.Generator`` draws them row-major in one call and returns a view of the block,
-    and an iterator of ``(r, rng)`` pairs, as ``SeedLineage.row_generators`` yields, draws
-    each of its next rows on its own ``rng``, the leading columns into one scratch row and
-    the kept ones into the result.  A stream drawn block by block from one open source
+    The one draw rule: the rows asked are drawn row-major, whole rows of at most
+    ``_NORMALS_PER_CALL`` normals (or one wider row) per ``standard_normal`` call, and each
+    call's last ``keep`` columns are copied into the result, so a call's leading columns are
+    freed before the next call draws.  A stream drawn block by block from one generator
     therefore equals its whole-stream draw.
     """
     rows, cols = shape
     keep = cols if keep is None else keep
-    if isinstance(source, np.random.Generator):
-        return source.standard_normal((rows, cols))[:, cols - keep:]
-    out, skipped = np.empty((rows, keep)), np.empty(cols - keep)
-    for row, (_, rng) in zip(out, source):
-        rng.standard_normal(out=skipped)
-        rng.standard_normal(out=row)
+    out = np.empty((rows, keep))
+    chunk = max(1, _NORMALS_PER_CALL // max(cols, 1))
+    for r in range(0, rows, chunk):
+        out[r:r + chunk] = generator.standard_normal((min(chunk, rows - r), cols))[:, cols - keep:]
     return out
 
 
-def _kept_normals(model: ArmaModel, source, rows: int, steps: int) -> np.ndarray:
+def _kept_normals(model: ArmaModel, generator, rows: int, steps: int) -> np.ndarray:
     """(rows, len(taps) - 1 + steps) unit normals, those that ``steps`` phases of ``model``
-    read: each of the next ``rows`` rows of ``source`` draws ``burn_in + steps`` by
+    read: each of the next ``rows`` rows of ``generator`` draws ``burn_in + steps`` by
     :func:`_unit_normals` and keeps the last.  The one place that sets the kept width."""
-    return _unit_normals(source, (rows, model.burn_in + steps), len(model.taps()) - 1 + steps)
+    return _unit_normals(generator, (rows, model.burn_in + steps), len(model.taps()) - 1 + steps)
 
 
-def _model_phases(model: "ArmaModel | None", source, rows: int, steps: int) -> np.ndarray:
+def _model_phases(model: "ArmaModel | None", generator, rows: int, steps: int) -> np.ndarray:
     """(rows, steps) phases of ``model``, each row filtered from :func:`_kept_normals` of the
-    next ``rows`` rows of ``source``.
+    next ``rows`` rows of ``generator``.
 
     The one synthesizer.  A silent or absent model gives zeros and draws nothing.
     """
     if model is None or model.drive_std == 0.0:
         return np.zeros((rows, steps))
-    return _synthesize_phases(model, _kept_normals(model, source, rows, steps), steps)
+    return _synthesize_phases(model, _kept_normals(model, generator, rows, steps), steps)
 
 
-def _model_phase_sums(model: "ArmaModel | None", source, rows: int,
+def _model_phase_sums(model: "ArmaModel | None", generator, rows: int,
                       weights: np.ndarray) -> np.ndarray:
-    """(rows,) weighted sums ``_model_phases(model, source, rows, len(weights)) @ weights``,
+    """(rows,) weighted sums ``_model_phases(model, generator, rows, len(weights)) @ weights``,
     equal to rounding, without forming a phase row.
 
     A phase is the "valid" convolution of the kept normals with the taps, so the sum is the
@@ -258,7 +257,7 @@ def _model_phase_sums(model: "ArmaModel | None", source, rows: int,
     """
     if model is None or model.drive_std == 0.0:
         return np.zeros(rows)
-    normals = _kept_normals(model, source, rows, len(weights))
+    normals = _kept_normals(model, generator, rows, len(weights))
     return normals @ (model.drive_std * np.convolve(weights, model.taps()[::-1]))
 
 

@@ -350,7 +350,8 @@ def bootstrap_spectrum(
     """Trajectory-level bootstrap of the reconstruction.
 
     Per resample, each sequence's retained per-trajectory survivals are
-    resampled with replacement (one draw call for all records, in record order),
+    resampled with replacement (one draw call for all records, in record order, and the
+    resamples in order from the seed's one generator),
     their means and stderrs recomputed by one call per trajectory count, and the
     inversion re-run on the bin grid of the point estimate.  The binned filter
     matrix is built once for all records; a resample keeps the rows of its
@@ -361,7 +362,7 @@ def bootstrap_spectrum(
     if any(r.trajectory_survivals is None for r in records):
         raise ValueError("records lack per-trajectory survivals (run with keep_raw=True)")
     point = reconstruct_spectrum(records, filters, bins, ridge, saturation_floor)
-    root = as_lineage(seed)
+    rng = as_lineage(seed).generator()
     design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
     survivals = np.concatenate([r.trajectory_survivals for r in records])
     sizes = np.array([r.trajectory_survivals.size for r in records])
@@ -376,7 +377,7 @@ def bootstrap_spectrum(
     means = np.empty(len(records))
     stderrs = np.empty(len(records))
     values = np.zeros((resamples, point.values.size))
-    for b, rng in root.row_generators(resamples):
+    for b in range(resamples):
         drawn = survivals[offsets + rng.integers(0, bounds)]
         for idx, at in groups:
             means[idx], stderrs[idx] = _survival_stats(drawn[at], shots[idx])

@@ -230,23 +230,20 @@ def _injected_gate_phases(
 ) -> np.ndarray:
     """(trajectories, n_slots) gate-mode injected phases of ``seq``, as simulated and exported.
 
-    Row r equals ``generate_trajectory`` at (seq.label, r, STREAM_INJECTED), its
-    :func:`_stream_source` address.  The stream must pass :func:`_check_stream` at the gate period.
+    Row r is row r of the injected stream a gate run of ``seq`` draws, from its
+    :func:`_stream_source`.  The stream must pass :func:`_check_stream` at the gate period.
     """
     _check_stream(model, seq.gate_period, trajectories, seq.n_slots, "injected model",
                   "the gate period")
-    rows = _stream_source(as_lineage(seed), seq, STREAM_INJECTED, trajectories, sdr=False)
-    return _model_phases(model, rows, trajectories, seq.n_slots)
+    generator = _stream_source(as_lineage(seed), seq, STREAM_INJECTED)
+    return _model_phases(model, generator, trajectories, seq.n_slots)
 
 
-def _stream_source(root: SeedLineage, seq: PulseSequence, stream: int, rows: int, sdr: bool):
-    """The open source of one stream of ``seq``, as :func:`_unit_normals` takes it: gate row r
-    draws on its own generator at (seq.label, r, stream), and every SDR row on the one
-    generator at (seq.label, 0, stream).  The one statement of where a simulator stream
-    draws."""
-    if sdr:
-        return root.child(seq.label, 0, stream).generator()
-    return root.child(seq.label).row_generators(rows, stream)
+def _stream_source(root: SeedLineage, seq: PulseSequence, stream: int) -> np.random.Generator:
+    """The one generator of one stream of ``seq``, at (seq.label, 0, stream), whose rows are
+    the gate trajectories or SDR shots in order.  The one statement of where a simulator
+    stream draws."""
+    return root.child(seq.label, 0, stream).generator()
 
 
 def _check_stream(model: Optional[ArmaModel], period: float, rows: int, steps: int, role: str,
@@ -358,8 +355,8 @@ def _run_sequence(
     at a time (about ``_DRAW_BLOCK`` normals of the widest drawn row): a block draws its rows
     of every stream, filters them, resamples them onto slots in SDR mode and propagates them
     before the next block draws, so a worker's memory does not grow with rows.  The SDR
-    offsets are drawn before the first block and the measurement uniforms after the last,
-    from the one measurement generator.
+    offsets are drawn before the first block and the outcomes, SDR uniforms or gate binomials,
+    in one call after the last, from the one measurement generator.
     """
     sdr = isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
@@ -370,7 +367,7 @@ def _run_sequence(
 
     # an unused stream draws nothing and opens nothing
     injected, native, jitter_source = (
-        _stream_source(root, seq, stream, rows, sdr) if used else None
+        _stream_source(root, seq, stream) if used else None
         for stream, used in ((STREAM_INJECTED, draws(model)), (STREAM_NATIVE, draws(native_model)),
                              (STREAM_PULSE_JITTER, perr.jitter_std > 0)))
     widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
@@ -380,7 +377,7 @@ def _run_sequence(
     if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
         # perfect pulses read only Phi, which is linear in each stream's kept normals
         y = switching_function(seq)
-    measurement = _stream_source(root, seq, STREAM_MEASUREMENT, rows, sdr)
+    measurement = _stream_source(root, seq, STREAM_MEASUREMENT)
     if sdr:
         offsets = (measurement.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
@@ -403,9 +400,8 @@ def _run_sequence(
     if sdr:
         shots, fractions = 1, (measurement.random(rows) < p).astype(float)
     else:
-        shots, fractions = mode.shots_per_trajectory, np.empty(rows)
-        for r, rng in measurement:
-            fractions[r] = rng.binomial(shots, p[r]) / shots
+        shots = mode.shots_per_trajectory
+        fractions = measurement.binomial(shots, p) / shots
     mean, stderr = map(float, _survival_stats(fractions, shots))
     return ExperimentRecord(
         label=seq.label,

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from dephasekit.circuits import parse_circuit
 from dephasekit.cli import main
-from dephasekit.noise_models import ArmaModel, Spectrum, design_bandpass, generate_trajectory, psd
+from dephasekit.noise_models import ArmaModel, Spectrum, _model_phases, design_bandpass, psd
 from dephasekit.qubit_sim import ExperimentRecord, GateMode, run_experiment
-from dephasekit.seeds import STREAM_INJECTED, SeedLineage
+from dephasekit.seeds import STREAM_INJECTED, STREAM_VERSION, SeedLineage
 from dephasekit.sequences import PulseSequence, filter_function, make_fttps, make_rfttps
 from dephasekit.serialize import (
     SchemaError,
@@ -373,6 +373,7 @@ def test_cli_reconstruct_and_fit(pipeline, tmp_path):
     assert lines[0] == "freq_hz,psd_rad2_per_hz,ci_lo,ci_hi"
     meta = json.loads((out / "reconstruction_meta.json").read_text())
     assert meta["bins"] == len(lines) - 1
+    assert meta["stream_version"] == STREAM_VERSION == 2
     fit_cfg = write_json(
         tmp / "fit.json",
         {
@@ -547,7 +548,7 @@ def test_cli_export_circuits(tmp_path):
 )
 def test_cli_export_phases_are_simulator_phases(tmp_path, model):
     # every exported u1 angle is the injected phase the simulator draws for the
-    # same (seed, sequence, trajectory), bit for bit
+    # same (seed, sequence, trajectory), bit for bit: row r of the sequence's injected stream
     model_path = tmp_path / "m.json"
     write_model_json(model_path, model)
     cfg = write_json(tmp_path / "export.json", {
@@ -557,10 +558,10 @@ def test_cli_export_phases_are_simulator_phases(tmp_path, model):
     assert main(["export-circuits", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     root = SeedLineage(5)
     for seq in make_rfttps(3, 16, T_G):
-        for r in range(2):
+        injected = root.child(seq.label, 0, STREAM_INJECTED).generator()
+        for r, expected in enumerate(_model_phases(model, injected, 2, 16)):
             text = (tmp_path / f"circuit_seq{seq.label:03d}_traj{r:03d}.qasm").read_text()
-            expected = generate_trajectory(model, 16, root.child(seq.label, r, STREAM_INJECTED))
-            assert _bits(parse_circuit(text).slot_phases) == _bits(expected.phases)
+            assert _bits(parse_circuit(text).slot_phases) == _bits(expected)
 
 
 def test_cli_export_misaligned_model_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Simulator tests: unitary-propagation oracles, mode equivalence, seeding."""
 
+import functools
 import hashlib
 import itertools
 import tracemalloc
@@ -271,9 +272,10 @@ def test_records_deterministic():
     assert any(x.survival_mean != y.survival_mean for x, y in zip(a, c))
 
 
-def test_gate_mode_matches_run_shot():
-    # the batched experiment path must agree with single-shot propagation on
-    # the same derived trajectory and jitter streams
+def test_gate_mode_matches_run_shot(monkeypatch):
+    # the batched experiment path must agree with single-shot propagation on the same
+    # trajectories, rows of the injected stream, and the same jitter rows: each run_shot
+    # draws the next row of the jitter stream's one generator
     seqs = make_fttps(3, N, T_G)[2:]
     seq = seqs[0]
     perr = PulseErrorModel(over_rotation=0.05, jitter_std=0.02)
@@ -282,9 +284,11 @@ def test_gate_mode_matches_run_shot():
         mode=GateMode(trajectories=4, shots_per_trajectory=1000000), seed=33, keep_raw=True,
     )
     root = SeedLineage(33)
+    injected = _model_phases(WHITE_01, _source(root, seq.label, STREAM_INJECTED), 4, N)
+    jitter = _source(root, seq.label, STREAM_PULSE_JITTER)
+    monkeypatch.setattr(SeedLineage, "generator", lambda self: jitter)
     for r in range(4):
-        traj = generate_trajectory(WHITE_01, N, root.child(seq.label, r, STREAM_INJECTED))
-        p = run_shot(seq, traj, pulse_errors=perr, seed=root.child(seq.label, r, 2))
+        p = run_shot(seq, Trajectory(injected[r], T_G, root), pulse_errors=perr)
         # binomial fraction at 1e6 shots pins the per-trajectory probability
         assert records[0].trajectory_survivals[r] == pytest.approx(p, abs=5e-3)
 
@@ -298,20 +302,19 @@ def test_gate_mode_matches_run_shot():
     ids=["power-law-257-taps", "ar2"],
 )
 def test_gate_mode_stream_contract(model):
-    # every (sequence, trajectory) of a gate run is run_shot on the
-    # generate_trajectory phases of its injected stream, sampled from its
-    # measurement stream: the same binomial outcomes, with the gate run's
-    # survival probability agreeing with run_shot's to rounding
+    # trajectory r of a gate run is run_shot on row r of its sequence's injected stream,
+    # sampled by one binomial call on its measurement stream: the same binomial outcomes,
+    # with the gate run's survival probability agreeing with run_shot's to rounding
     seqs = make_fttps(4, N, T_G)
     mode = GateMode(trajectories=20, shots_per_trajectory=50)
     records = run_experiment(seqs, model, mode=mode, seed=19, keep_raw=True)
     root = SeedLineage(19)
     for seq, rec in zip(seqs, records):
-        for r in range(mode.trajectories):
-            lineage = root.child(seq.label, r, STREAM_INJECTED)
-            p = run_shot(seq, generate_trajectory(model, seq.n_slots, lineage))
-            rng = root.child(seq.label, r, STREAM_MEASUREMENT).generator()
-            assert rec.trajectory_survivals[r] == rng.binomial(50, p) / 50
+        injected = _source(root, seq.label, STREAM_INJECTED)
+        rows = _model_phases(model, injected, mode.trajectories, seq.n_slots)
+        p = [run_shot(seq, Trajectory(row, T_G, root)) for row in rows]
+        outcomes = _source(root, seq.label, STREAM_MEASUREMENT).binomial(50, p) / 50
+        assert np.array_equal(rec.trajectory_survivals, outcomes)
 
 
 # a 257-tap MA model, AR(2), AR(1) near its unit root (5,376 taps) and a silent model
@@ -345,8 +348,8 @@ def test_perfect_pulse_gate_survival_is_propagated_phases(seq, model, native, ta
                       lambda phi: survivals.append(ideal_survival(phi)) or survivals[-1])
         run_experiment([seq], model, native_model=native, mode=GateMode(rows, 1), seed=seed,
                        target_state=target_state)
-    root = SeedLineage(seed).child(seq.label)
-    phases = sum(_model_phases(m, root.row_generators(rows, stream), rows, seq.n_slots)
+    root = SeedLineage(seed)
+    phases = sum(_model_phases(m, _source(root, seq.label, stream), rows, seq.n_slots)
                  for m, stream in ((model, STREAM_INJECTED), (native, STREAM_NATIVE)))
     want = _propagate(phases, seq, 0.0, np.zeros((rows, seq.n_pulses)), target_state)
     assert len(survivals) == 1
@@ -399,8 +402,8 @@ def _golden_run(case):
     "case, digest",
     [
         ("gate-power-law-257-taps",
-         "2a48c37d3e555ec4824c1966c5b37d19e286af82ac1bf27d10cc34bab5ab4288"),
-        ("gate-ar2-jitter", "0c29b1233b8f49890c24b6668b7b294314a44f15d0dd880cd04771eb2b33334e"),
+         "6ced6bc84c5755d5a29f5012b9c190e3d23bc7a68f0f2022b4de491ba2210a96"),
+        ("gate-ar2-jitter", "358b7a54a7041323046bd4a0017d750649e0552014e8394f36d792fc15fca66e"),
         ("sdr-native-jitter", "6890a2bf124387b3a80c3033f647b7de575aafc970f1654d3c4e100e842d33ef"),
     ],
 )
@@ -435,8 +438,8 @@ def test_record_independent_of_other_sequences_and_order(mode):
 
 
 def test_gate_run_builds_no_per_trajectory_generator(monkeypatch):
-    # injected, native, jitter and measurement streams all come from
-    # SeedLineage.row_generators, not one numpy construction per trajectory
+    # the injected, native, jitter and measurement streams each open one generator per
+    # sequence, whose rows are the trajectories, as in SDR mode
     built = []
     generator = SeedLineage.generator
 
@@ -451,7 +454,8 @@ def test_gate_run_builds_no_per_trajectory_generator(monkeypatch):
         native_model=native, pulse_errors=PulseErrorModel(over_rotation=0.01, jitter_std=0.02),
         mode=GateMode(trajectories=10, shots_per_trajectory=40), seed=31,
     )
-    assert built == []
+    streams = (STREAM_INJECTED, STREAM_NATIVE, STREAM_PULSE_JITTER, STREAM_MEASUREMENT)
+    assert sorted(built) == [(k, 0, stream) for k in range(4) for stream in streams]
 
 
 def test_sdr_run_builds_no_generator_for_silent_model(monkeypatch):
@@ -476,45 +480,33 @@ def test_sdr_run_builds_no_generator_for_silent_model(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _full_width_normals(root, label, stream, shape, sdr):
-    """One sequence's stream drawn the plain way: one call per gate row, one SDR block."""
-    if sdr:
-        return root.child(label, 0, stream).generator().standard_normal(shape)
-    rows, cols = shape
-    return np.array([root.child(label, r, stream).generator().standard_normal(cols)
-                     for r in range(rows)]).reshape(shape)
-
-
-def _source(root, label, stream, rows, sdr):
-    """Where the simulator draws one sequence's stream: one SDR block, or a generator per row."""
-    if sdr:
-        return root.child(label, 0, stream).generator()
-    return root.child(label).row_generators(rows, stream)
+def _source(root, label, stream):
+    """The one generator a run of either mode draws one sequence's stream from, row by row."""
+    return root.child(label, 0, stream).generator()
 
 
 @pytest.mark.parametrize(
-    "sdr, shape, keep",
+    "shape, keep",
     [
-        (False, (7, 300), 40),
-        (False, (7, 300), None),
-        (False, (3, 0), None),
-        (True, (5, 300), 40),
-        # one call draws all the rows asked, here 300 and then two draw blocks' worth of
-        # normals; the run's draw blocks are checked by the block-boundary test below
-        (True, (300, 1000), 228),
-        (True, (2 * _DRAW_BLOCK // 1000, 1000), 1),
-        # rows wider than a draw block, which a run draws one row per block
-        (True, (3, _DRAW_BLOCK + 5), 17),
-        (True, (300, 1000), None),
+        ((5, 300), 40),
+        # the draw takes at most 2^16 normals a call, here 300 rows and then two draw
+        # blocks' worth of normals over several calls; the run's draw blocks are checked by
+        # the block-boundary test below
+        ((300, 1000), 228),
+        ((2 * _DRAW_BLOCK // 1000, 1000), 1),
+        # rows wider than a draw block, which a run draws one row per block and the draw
+        # one row per call
+        ((3, _DRAW_BLOCK + 5), 17),
+        ((300, 1000), None),
         # a sequence without pulses has a zero-width jitter block
-        (True, (600, 0), None),
-        (True, (600, 0), 0),
+        ((600, 0), None),
+        ((600, 0), 0),
     ],
 )
-def test_lean_draw_equals_trailing_columns_of_full_draw(sdr, shape, keep):
+def test_lean_draw_equals_trailing_columns_of_full_draw(shape, keep):
     root = SeedLineage(41)
-    full = _full_width_normals(root, 5, STREAM_NATIVE, shape, sdr)
-    got = _unit_normals(_source(root, 5, STREAM_NATIVE, shape[0], sdr), shape, keep)
+    full = _source(root, 5, STREAM_NATIVE).standard_normal(shape)
+    got = _unit_normals(_source(root, 5, STREAM_NATIVE), shape, keep)
     kept = shape[1] if keep is None else keep
     assert got.shape == (shape[0], kept)
     assert np.array_equal(got, full[:, shape[1] - kept:])
@@ -530,13 +522,15 @@ def test_lean_draw_equals_trailing_columns_of_full_draw(sdr, shape, keep):
     ids=["ma-101-taps", "ar2"],
 )
 def test_model_phases_equal_full_width_synthesis(model, sdr):
-    # every model holds only the columns its filter reads, len(taps) - 1 + N;
-    # the phases are those of synthesizing the full-width draw
+    # every model holds only the columns its filter reads, len(taps) - 1 + steps, at the
+    # steps of a gate row or of an SDR shot; the phases are those of synthesizing the
+    # full-width draw
+    steps = qubit_sim._sdr_steps(make_fttps(1, N, T_G)[0], model, SdrMode(1, T_G)) if sdr else N
     root = SeedLineage(43)
-    shape = (150, model.burn_in + N)
-    full = _full_width_normals(root, 2, STREAM_INJECTED, shape, sdr)
-    expected = _synthesize_phases(model, full, N)
-    got = _model_phases(model, _source(root, 2, STREAM_INJECTED, shape[0], sdr), shape[0], N)
+    shape = (150, model.burn_in + steps)
+    full = _source(root, 2, STREAM_INJECTED).standard_normal(shape)
+    expected = _synthesize_phases(model, full, steps)
+    got = _model_phases(model, _source(root, 2, STREAM_INJECTED), shape[0], steps)
     assert np.array_equal(got, expected)
 
 
@@ -600,21 +594,26 @@ def test_worker_error_reaches_caller_unchanged(monkeypatch):
 
 
 def test_gate_run_holds_only_filtered_columns():
-    # the 257-tap model warms up over 2570 columns and filters only the last 256 + 128:
-    # a run must peak below the full-width block of 300 x (2570 + 128) float64 normals
+    # the 257-tap model warms up over 2570 columns and filters only the last 256 + 128: a
+    # run, and an export of the same 300 rows, must each peak below the full-width block of
+    # 300 x (2570 + 128) float64 normals; the export holds every row's kept columns, so its
+    # draw must free each call's warm-up columns before the next call
     model = design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G)
     seq = make_fttps(8, N, T_G)[3]
     mode = GateMode(trajectories=300, shots_per_trajectory=100)
-    run_experiment([seq], model, mode=mode, seed=3)
     full_width = 300 * (model.burn_in + N) * 8
-    tracemalloc.start()
-    try:
-        run_experiment([seq], model, mode=mode, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     assert model.burn_in == 2570 and full_width == 6_475_200
-    assert peak < full_width
+    draws = {"run": lambda: run_experiment([seq], model, mode=mode, seed=3),
+             "export": lambda: qubit_sim._injected_gate_phases(seq, model, 300, 3)}
+    for name, draw in draws.items():
+        draw()
+        tracemalloc.start()
+        try:
+            draw()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_width, name
 
 
 def test_sdr_run_memory_does_not_grow_with_shots():
@@ -644,14 +643,10 @@ def _whole_stream_survivals(seq, model, native, perr, mode, seed):
     ``_model_phases``, then ``_sdr_slot_phases`` in SDR mode, then one ``_propagate``."""
     k, sdr = seq.label, isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
-    root = SeedLineage(seed)
-
-    def source(stream):
-        return _source(root, k, stream, rows, sdr)
-
+    source = functools.partial(_source, SeedLineage(seed), k)
+    measurement = source(STREAM_MEASUREMENT)
     if sdr:
-        rng_meas = root.child(k, 0, STREAM_MEASUREMENT).generator()
-        offsets = rng_meas.uniform(0.0, mode.phase_update_period, size=rows)
+        offsets = measurement.uniform(0.0, mode.phase_update_period, size=rows)
         steps = qubit_sim._sdr_steps(seq, model, mode)
         phases = _sdr_slot_phases(_model_phases(model, source(STREAM_INJECTED), rows, steps),
                                   model.sample_period, seq.n_slots, T_G, offsets)
@@ -661,10 +656,9 @@ def _whole_stream_survivals(seq, model, native, perr, mode, seed):
     jitter = perr.jitter_std * _unit_normals(source(STREAM_PULSE_JITTER), (rows, seq.n_pulses))
     p = _propagate(phases, seq, perr.over_rotation, jitter, 1)
     if sdr:
-        return p, (rng_meas.random(rows) < p).astype(float)
+        return p, (measurement.random(rows) < p).astype(float)
     shots = mode.shots_per_trajectory
-    return p, np.array([rng.binomial(shots, p[r]) / shots for r, rng in
-                        root.child(k).row_generators(rows, STREAM_MEASUREMENT)])
+    return p, measurement.binomial(shots, p) / shots
 
 
 @pytest.mark.parametrize("blocks, extra", [(1, 0), (1, 1), (2, 1)],
