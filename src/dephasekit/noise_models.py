@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .seeds import SeedLineage, as_lineage
 
@@ -33,6 +34,9 @@ DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
 # most normals one standard_normal call of the draw rule draws, unless one row is wider
 _NORMALS_PER_CALL = 2**16
+# np.convolve's correlate sums kernels of up to this many taps left to right from 0 in its
+# own small-kernel loop (numpy's small_correlate); longer kernels go through one ddot per output
+_SMALL_KERNEL_TAPS = 11
 
 
 class UnstableModelError(ValueError):
@@ -264,15 +268,30 @@ def _model_phase_sums(model: "ArmaModel | None", generator, rows: int,
 def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:
     """Scale unit normals by ``drive_std`` in place, filter the last axis, keep ``steps``.
 
-    The one filter kernel of every phase row: a "valid" ``np.convolve`` of each row with
-    ``model.taps()``, so output t reads inputs t-len(taps)+1..t and starts stationary.  For a
-    pure-MA model it is the kernel ``lfilter``'s FIR path runs, so every output equals a
-    whole-row filter's.  A perfect-pulse gate stream forms no phase rows: it takes
+    The one filter kernel of every phase row: output t reads inputs t-len(taps)+1..t with
+    ``model.taps()``, so it starts stationary, and every output is bit for bit the "valid"
+    ``np.convolve`` of its row.  All rows of a block are filtered in one call, with the GIL
+    released: ``np.dot`` of the (rows, steps, len(taps)) windows with the reversed taps runs
+    the one ddot per output that ``np.convolve`` runs.  The windows stay 3-D, because a 2-D
+    operand takes gemv, which rounds differently.  The one branch: a kernel of at most
+    ``_SMALL_KERNEL_TAPS`` taps, which np.convolve sums left to right from 0 in its own
+    loop, is summed that way here, one whole-block product per tap.  For a pure-MA model
+    this is the kernel ``lfilter``'s FIR path runs, so every output equals a whole-row
+    filter's.  A perfect-pulse gate stream forms no phase rows: it takes
     :func:`_model_phase_sums`.
     """
     normals *= model.drive_std
-    phases = np.apply_along_axis(np.convolve, -1, normals, model.taps(), "valid")
-    return phases[..., -steps:]
+    taps = model.taps()
+    width = len(taps) - 1 + steps
+    windows = sliding_window_view(normals[..., -width:].reshape(-1, width), len(taps), axis=-1)
+    kernel = taps[::-1].copy()
+    if len(kernel) <= _SMALL_KERNEL_TAPS:
+        phases = np.zeros(windows.shape[:-1])
+        for k, tap in enumerate(kernel):
+            phases += windows[..., k] * tap
+    else:
+        phases = np.dot(windows, kernel)
+    return phases.reshape(normals.shape[:-1] + (steps,))
 
 
 def _grid_freqs(grid_size: int, period: float) -> np.ndarray:

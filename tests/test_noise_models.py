@@ -132,6 +132,10 @@ def lfilter_synthesis(model, normals):
 )
 @example(ma=tuple(np.linspace(-1, 1, 257)), length=128, rows=3, drive_std=1.0, seed=0)
 @example(ma=(0.5,), length=1, rows=None, drive_std=2.0, seed=1)
+# either side of np.convolve's small-kernel rule (11 taps), and the 1-D path below it
+@example(ma=tuple(np.linspace(-1, 1, 11)), length=40, rows=3, drive_std=1.0, seed=2)
+@example(ma=tuple(np.linspace(-1, 1, 12)), length=40, rows=3, drive_std=1.0, seed=3)
+@example(ma=(0.7, -0.3), length=50, rows=None, drive_std=1.5, seed=4)
 def test_ma_synthesis_equals_full_lfilter(ma, length, rows, drive_std, seed):
     # MA synthesis filters only the kept samples; each must equal lfilter over the whole row
     model = ArmaModel(ar=(), ma=tuple(ma), drive_std=drive_std, sample_period=T_S)
@@ -155,6 +159,22 @@ def test_ar_taps_convolution_equals_full_lfilter(rows, model):
     got = _synthesize_phases(model, normals.copy(), 64)
     expected = lfilter_synthesis(model, normals)
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    # and bit for bit each row's own "valid" np.convolve with the taps
+    scaled = np.atleast_2d(normals * model.drive_std)
+    per_row = np.array([np.convolve(row, model.taps(), "valid")[-64:] for row in scaled])
+    assert np.array_equal(got, per_row.reshape(got.shape))
+
+
+def test_phase_rows_filtered_without_a_per_row_loop(monkeypatch):
+    # a block's rows are filtered in one call, not one np.convolve per row
+    model = ArmaModel(ar=(), ma=tuple(np.linspace(-1, 1, 101)), drive_std=1.0, sample_period=T_S)
+
+    def per_row(*args, **kwargs):
+        raise AssertionError("phase rows filtered one at a time")
+
+    monkeypatch.setattr(np, "apply_along_axis", per_row)
+    monkeypatch.setattr(np, "convolve", per_row)
+    assert _model_phases(model, np.random.default_rng(6), 500, 32).shape == (500, 32)
 
 
 @pytest.mark.parametrize(
