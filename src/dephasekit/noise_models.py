@@ -21,6 +21,7 @@ frequency sampling on the PSD square root with a raised-cosine window.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 
@@ -250,19 +251,21 @@ def _model_phases(model: "ArmaModel | None", generator, rows: int, steps: int) -
     return _synthesize_phases(model, _kept_normals(model, generator, rows, steps), steps)
 
 
-def _model_phase_sums(model: "ArmaModel | None", generator, rows: int,
-                      weights: np.ndarray) -> np.ndarray:
-    """(rows,) weighted sums ``_model_phases(model, generator, rows, len(weights)) @ weights``,
-    equal to rounding, without forming a phase row.
+def _phase_sum_kernel(model: ArmaModel, weights: np.ndarray) -> np.ndarray:
+    """drive_std * np.convolve(weights, taps[::-1]): the kept normals of ``len(weights)``
+    phases of ``model`` times this vector is the phases' sum weighted by ``weights``, since a
+    phase is the "valid" convolution of the kept normals with the taps."""
+    return model.drive_std * np.convolve(weights, model.taps()[::-1])
 
-    A phase is the "valid" convolution of the kept normals with the taps, so the sum is the
-    kept normals times drive_std * np.convolve(weights, taps[::-1]): one matrix-vector
-    product.  It draws exactly what :func:`_model_phases` draws.
+
+def _model_phase_sums(model: ArmaModel, generator, rows: int, kernel: np.ndarray) -> np.ndarray:
+    """(rows,) weighted sums ``_model_phases(model, generator, rows, len(weights)) @ weights``,
+    equal to rounding, without forming a phase row: the next ``rows`` rows of
+    :func:`_kept_normals` times ``kernel = _phase_sum_kernel(model, weights)``, one
+    matrix-vector product.  It draws exactly what :func:`_model_phases` draws.
     """
-    if model is None or model.drive_std == 0.0:
-        return np.zeros(rows)
-    normals = _kept_normals(model, generator, rows, len(weights))
-    return normals @ (model.drive_std * np.convolve(weights, model.taps()[::-1]))
+    steps = len(kernel) - (len(model.taps()) - 1)
+    return _kept_normals(model, generator, rows, steps) @ kernel
 
 
 def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:
@@ -294,12 +297,20 @@ def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.
     return phases.reshape(normals.shape[:-1] + (steps,))
 
 
+@functools.lru_cache(maxsize=8)
 def _grid_freqs(grid_size: int, period: float) -> np.ndarray:
-    """The one spectral grid f_m = m / (2 t (grid_size-1)); PSDs and filters compare it exactly."""
+    """The one spectral grid f_m = m / (2 t (grid_size-1)); PSDs and filters compare it exactly.
+
+    One read-only array per (grid_size, period), which every PSD and filter function on it
+    holds.  A command uses one or two grids; the cache keeps the last eight, so a caller that
+    sweeps periods or sizes does not keep every grid alive.
+    """
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     theta = np.pi * np.arange(grid_size) / (grid_size - 1)
-    return theta / (2.0 * np.pi * period)
+    freqs = theta / (2.0 * np.pi * period)
+    freqs.setflags(write=False)
+    return freqs
 
 
 def _dtft_power(coeffs, grid_size: int) -> np.ndarray:

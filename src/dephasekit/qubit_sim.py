@@ -31,6 +31,7 @@ from .noise_models import (
     Trajectory,
     _model_phase_sums,
     _model_phases,
+    _phase_sum_kernel,
     _unit_normals,
     autocovariance,
 )
@@ -373,10 +374,13 @@ def _run_sequence(
     widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
                                    ((model, steps), (native_model, seq.n_slots)) if draws(m)])
     block = max(1, _DRAW_BLOCK // max(widest, 1))
-    y = None
+    sums = None
     if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
-        # perfect pulses read only Phi, which is linear in each stream's kept normals
+        # perfect pulses read only Phi, which is linear in each stream's kept normals: one
+        # kernel per stream serves every block
         y = switching_function(seq)
+        sums = [(m, source, _phase_sum_kernel(m, y))
+                for m, source in ((model, injected), (native_model, native)) if draws(m)]
     measurement = _stream_source(root, seq, STREAM_MEASUREMENT)
     if sdr:
         offsets = (measurement.uniform(0.0, mode.phase_update_period, size=rows)
@@ -384,9 +388,9 @@ def _run_sequence(
     p = np.empty(rows)
     for r in range(0, rows, block):
         n = min(block, rows - r)
-        if y is not None:
-            p[r:r + n] = _ideal_survival(_model_phase_sums(model, injected, n, y)
-                                         + _model_phase_sums(native_model, native, n, y))
+        if sums is not None:
+            p[r:r + n] = _ideal_survival(sum(_model_phase_sums(m, source, n, kernel)
+                                             for m, source, kernel in sums))
             continue
         phases = _model_phases(model, injected, n, steps)
         if sdr:

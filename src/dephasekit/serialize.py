@@ -1,8 +1,10 @@
 """File formats: CSV for tabular artifacts, JSON documents for structures.
 
 Every artifact goes through one CSV writer, one CSV row reader with one cell
-parser, and one JSON reader/writer.  Floats are written with ``repr`` so a
-value survives a write/read cycle bit-exactly and identical runs produce
+parser, and one JSON reader/writer.  The CSV reader yields rows one at a time,
+as they are read, so a reader holds only what it parses out of each row; the
+writer writes each line as it formats it.  Floats are written with ``repr`` so
+a value survives a write/read cycle bit-exactly and identical runs produce
 identical bytes.  Readers accept finite numbers only and name the file (and,
 for CSV, the line and column) of the first bad value.  One rule, ``field``,
 types and bounds every JSON key, in configs and in documents alike.
@@ -16,7 +18,7 @@ import dataclasses
 import json
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,20 +54,22 @@ def _cell_text(x) -> str:
     return repr(float(x))
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text: ints as decimals, other numbers as ``repr(float(x))``, ``\\n`` endings."""
-    lines = [",".join(header)]
-    lines += [",".join(map(_cell_text, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """CSV lines, one at a time: ints as decimals, other numbers as ``repr(float(x))``,
+    each ending ``\\n``."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(_cell_text, row)) + "\n"
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(header, rows))
+        fh.writelines(_csv_lines(header, rows))
 
 
-def _csv_rows(path, required: Sequence[str]) -> "list[tuple[int, dict]]":
-    """(line number, row) for each data row, after checking the required columns once."""
+def _csv_rows(path, required: Sequence[str]) -> Iterator["tuple[int, dict]"]:
+    """(line number, row) for each data row as it is read, after checking the required
+    columns once; a file with no data row is refused after its last line."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -74,12 +78,14 @@ def _csv_rows(path, required: Sequence[str]) -> "list[tuple[int, dict]]":
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
                 raise SchemaError(f"{path}: missing columns {missing}")
-            rows = [(reader.line_num, row) for row in reader]
+            empty = True
+            for row in reader:
+                empty = False
+                yield reader.line_num, row
+            if empty:
+                raise SchemaError(f"{path}: no data rows")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    if not rows:
-        raise SchemaError(f"{path}: no data rows")
-    return rows
 
 
 def _cell(path, line: int, row: dict, column: str, kind=float, lo=-math.inf, hi=math.inf):
@@ -171,11 +177,11 @@ def write_spectrum_csv(path, spectrum: "Spectrum | SpectrumEstimate") -> None:
 
 def read_spectrum_arrays(path) -> "tuple[np.ndarray, np.ndarray]":
     """Frequencies and PSD values of a spectrum or reconstruction CSV."""
-    rows = _csv_rows(path, SPECTRUM_FIELDS)
-    return tuple(
-        np.array([_cell(path, i, row, column) for i, row in rows], dtype=float)
-        for column in SPECTRUM_FIELDS
-    )
+    freqs, values = [], []
+    for i, row in _csv_rows(path, SPECTRUM_FIELDS):
+        freqs.append(_cell(path, i, row, "freq_hz"))
+        values.append(_cell(path, i, row, "psd_rad2_per_hz"))
+    return np.array(freqs, dtype=float), np.array(values, dtype=float)
 
 
 def read_spectrum_csv(path, sample_period: float) -> Spectrum:
@@ -275,7 +281,7 @@ def record_row(r: ExperimentRecord) -> tuple:
 
 
 def records_to_csv_text(records: Sequence[ExperimentRecord]) -> str:
-    return _csv_text(RECORD_FIELDS, map(record_row, records))
+    return "".join(_csv_lines(RECORD_FIELDS, map(record_row, records)))
 
 
 def write_records_csv(path, records: Sequence[ExperimentRecord]) -> None:
@@ -297,12 +303,16 @@ def read_raw_survivals_csv(
 ) -> "list[ExperimentRecord]":
     """Attach per-trajectory survivals from a sidecar file to matching records.
 
-    Each survival goes to its ``trajectory`` index, so the rows may come in any order.
+    Each survival goes to its ``trajectory`` index, so the rows may come in any order.  The
+    rows are parsed as they are read, into four columns.
     """
-    rows = [(i, _cell(path, i, row, "seq_index", int), _cell(path, i, row, "trajectory", int),
-             _cell(path, i, row, "survival", lo=0.0, hi=1.0))
-            for i, row in _csv_rows(path, RAW_SURVIVAL_FIELDS)]
-    counts = collections.Counter(label for _, label, _, _ in rows)
+    lines, labels, trajectories, survivals = [], [], [], []
+    for i, row in _csv_rows(path, RAW_SURVIVAL_FIELDS):
+        lines.append(i)
+        labels.append(_cell(path, i, row, "seq_index", int))
+        trajectories.append(_cell(path, i, row, "trajectory", int))
+        survivals.append(_cell(path, i, row, "survival", lo=0.0, hi=1.0))
+    counts = collections.Counter(labels)
     for r in records:
         if not counts[r.label]:
             raise SchemaError(f"{path}: no rows for sequence {r.label}")
@@ -310,7 +320,7 @@ def read_raw_survivals_csv(
             raise SchemaError(f"{path}: sequence {r.label} has {counts[r.label]} rows, "
                               f"record expects {r.trajectories}")
     raw = {r.label: np.full(r.trajectories, np.nan) for r in records}
-    for i, label, t, survival in rows:
+    for i, label, t, survival in zip(lines, labels, trajectories, survivals):
         values = raw.get(label)
         if values is None:
             raise SchemaError(f"{path}: line {i}: seq_index {label}: no matching record")

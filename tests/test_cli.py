@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -172,6 +173,51 @@ def test_readers_reject_non_finite_and_out_of_range(tmp_path, name, text, read, 
     with pytest.raises(SchemaError, match=match) as info:
         read(path)
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [("", "empty file"), ("{header}", "no data rows"), ("{header}\n\n", "no data rows")],
+    ids=["empty-file", "header-only", "header-and-blank-lines"],
+)
+@pytest.mark.parametrize(
+    "name, header, read",
+    [("records.csv", RECORD_HEADER, read_records_csv),
+     ("spectrum.csv", "freq_hz,psd_rad2_per_hz\n", lambda p: read_spectrum_csv(p, T_G)),
+     ("raw.csv", "seq_index,trajectory,survival\n", lambda p: read_raw_survivals_csv(p, []))],
+    ids=["records", "spectrum", "raw"],
+)
+def test_csv_readers_refuse_files_without_data_rows(tmp_path, name, header, read, text, match):
+    # the row reader yields rows as it reads them, so "no data rows" comes after its last line
+    path = tmp_path / name
+    path.write_text(text.format(header=header))
+    with pytest.raises(SchemaError, match=match) as info:
+        read(path)
+    assert str(path) in str(info.value)
+
+
+def test_csv_codec_memory_per_row(tmp_path):
+    # the writer holds one line at a time and the reader a few numbers a row, not the text:
+    # 40 records x 1,000 trajectories is 40,000 rows of records_raw.csv
+    rng = np.random.default_rng(0)
+    records = [ExperimentRecord(k, k, 0.9, 0.01, 10, 1000, 7, rng.random(1000))
+               for k in range(40)]
+    bare = [ExperimentRecord(*dataclasses.astuple(r)[:7]) for r in records]
+    path, rows = tmp_path / "records_raw.csv", 40 * 1000
+    tracemalloc.start()
+    try:
+        write_raw_survivals_csv(path, records)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_raw_survivals_csv(path, bare)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert all(_bits(b.trajectory_survivals) == _bits(r.trajectory_survivals)
+               for r, b in zip(records, back))
+    assert write_peak / rows < 20
+    assert read_peak / rows < 150
 
 
 # write -> read is bit-exact for every format, down to the smallest subnormal
@@ -849,6 +895,19 @@ def test_cli_bad_input_file_exit_code(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert str(faulty) in err
     assert ("line " in err) == has_line
+
+
+def test_cli_reconstruct_header_only_raw_survivals_exit_code(tmp_path, capsys):
+    records, seqs, raw = tmp_path / "records.csv", tmp_path / "seqs.json", tmp_path / "raw.csv"
+    records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    write_sequences_json(seqs, make_fttps(2, 16, T_G))
+    raw.write_text("seq_index,trajectory,survival\n")
+    cfg = write_json(tmp_path / "cfg.json", {
+        "schema_version": 1, "records": str(records), "sequences": str(seqs),
+        "bootstrap_resamples": 10, "raw_survivals": str(raw),
+    })
+    assert main(["reconstruct", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{raw}: no data rows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,19 @@ def test_filter_grid_mismatch_rejected():
         ff.chi(spec)
 
 
+def test_filters_and_psds_share_one_read_only_grid():
+    # one array per (grid_size, period) serves every filter function and PSD on it
+    seqs = make_fttps(3, N, T_G)
+    grid = filter_function(seqs[1], grid_size=257).freqs
+    assert filter_function(seqs[2], grid_size=257).freqs is grid
+    assert psd(ArmaModel(ar=(), ma=(1.0,), drive_std=1.0, sample_period=T_G), 257).freqs is grid
+    assert not grid.flags.writeable
+    other = filter_function(seqs[1], grid_size=129).freqs
+    assert other is not grid
+    expected = np.pi * np.arange(129) / 128 / (2.0 * np.pi * T_G)
+    assert other.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # chi
 # ---------------------------------------------------------------------------
