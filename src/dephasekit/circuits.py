@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise_models import _read_only
 from .sequences import PulseSequence
 
 _HALF_PI = repr(np.pi / 2)
@@ -71,9 +72,7 @@ class ParsedCircuit:
     n_phase_gates: int
 
     def __post_init__(self):
-        arr = np.asarray(self.slot_phases, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "slot_phases", arr)
+        object.__setattr__(self, "slot_phases", _read_only(self.slot_phases))
 
 
 def parse_circuit(text: str) -> ParsedCircuit:

@@ -243,7 +243,7 @@ def cmd_fit(config: dict, args, out: Path) -> None:
     injected_path = field(config, "injected_spectrum", str, None)
     injected = None
     if injected_path:
-        injected = serialize.read_spectrum_csv(injected_path, seqs[0].gate_period)
+        injected = serialize.read_spectrum_csv(injected_path)
         if not np.array_equal(injected.freqs, filters[0].freqs):
             raise SchemaError(
                 f"{injected_path}: spectrum grid of {injected.freqs.size} points does not "
@@ -342,10 +342,10 @@ def cmd_report(config: dict, args, out: Path) -> None:
     recon_path = field(config, "reconstruction", str, None)
     plot_rows = [("survival", r.n_pulses, float(r.survival_mean)) for r in records]
     if recon_path:
-        freqs, values = serialize.read_spectrum_arrays(recon_path)
-        summary["reconstruction_bins"] = int(freqs.size)
-        summary["reconstruction_peak_hz"] = float(freqs[np.argmax(values)])
-        plot_rows += [("spectrum", f, v) for f, v in zip(freqs, values)]
+        recon = serialize.read_spectrum_csv(recon_path)
+        summary["reconstruction_bins"] = int(recon.freqs.size)
+        summary["reconstruction_peak_hz"] = float(recon.freqs[np.argmax(recon.values)])
+        plot_rows += [("spectrum", f, v) for f, v in zip(recon.freqs, recon.values)]
     fit_path = field(config, "fit_report", str, None)
     if fit_path:
         summary["fit"] = serialize.read_json(fit_path)

@@ -44,6 +44,13 @@ class UnstableModelError(ValueError):
     """Raised when an operation requires a stable ARMA model."""
 
 
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float array that refuses writes: the one rule for an artifact's arrays."""
+    arr = np.asarray(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ArmaModel:
     """AR/MA coefficients, driving-noise scale and sample period.
@@ -127,8 +134,7 @@ class ArmaModel:
                         f"AR root modulus {self._ar_root_radius():.6g}, last tap "
                         f"{abs(h[-1]) / peak:.2g} of the peak (need < 1e-12)")
                 n = min(2 * n, _STABILITY_MAX_STEPS)
-            h = np.array(h if self.ar else self.ma, dtype=float)
-            h.setflags(write=False)
+            h = _read_only(h if self.ar else self.ma)
             object.__setattr__(self, "_taps", h)
         return h
 
@@ -154,14 +160,11 @@ class ArmaModel:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided physical PSD sampled on an ascending frequency grid.
-
-    ``freqs`` in Hz on [0, 1/(2 t_s)], ``values`` in rad^2/Hz.
-    """
+    """One-sided physical PSD on an ascending grid, ``freqs`` in Hz and ``values`` in rad^2/Hz,
+    both read-only.  A model's grid ends at its Nyquist frequency, ``freqs[-1] = 1/(2 t_s)``."""
 
     freqs: np.ndarray
     values: np.ndarray
-    sample_period: float
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -172,12 +175,8 @@ class Spectrum:
             raise ValueError("freqs must be strictly ascending")
         if np.any(values < 0):
             raise ValueError("PSD values must be non-negative")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be > 0")
-        freqs.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "freqs", _read_only(freqs))
+        object.__setattr__(self, "values", _read_only(values))
 
     def total_power(self) -> float:
         """Trapezoidal integral of the PSD over the grid, in rad^2."""
@@ -193,9 +192,7 @@ class Trajectory:
     seed_lineage: SeedLineage
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=float)
-        phases.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", _read_only(self.phases))
 
     def __len__(self) -> int:
         return self.phases.size
@@ -308,9 +305,7 @@ def _grid_freqs(grid_size: int, period: float) -> np.ndarray:
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
     theta = np.pi * np.arange(grid_size) / (grid_size - 1)
-    freqs = theta / (2.0 * np.pi * period)
-    freqs.setflags(write=False)
-    return freqs
+    return _read_only(theta / (2.0 * np.pi * period))
 
 
 def _dtft_power(coeffs, grid_size: int) -> np.ndarray:
@@ -333,7 +328,7 @@ def psd(model: ArmaModel, grid_size: int = DEFAULT_GRID_SIZE) -> Spectrum:
     freqs = _grid_freqs(grid_size, model.sample_period)
     ratio = _dtft_power(model.ma, grid_size) / _dtft_power(model.ar_poly(), grid_size)
     values = 2.0 * model.sample_period * (model.drive_std**2 * ratio)
-    return Spectrum(freqs=freqs, values=values, sample_period=model.sample_period)
+    return Spectrum(freqs=freqs, values=values)
 
 
 def autocovariance(model: ArmaModel, max_lag: int) -> np.ndarray:
@@ -456,7 +451,8 @@ def design_power_law(
     constant below f_lo (finite-power regularization of the f -> 0 divergence
     for alpha > 0) and rolled off with a half-cosine amplitude taper above
     f_hi.  The realized log-log slope over [f_lo, f_hi] is within 0.1 of
-    -alpha.
+    -alpha.  The anchor must lie where the target is positive: at most
+    Nyquist, and below it when the taper ends there at 0.
     """
     f_lo, f_hi = band
     nyquist = 0.5 / sample_period
@@ -465,6 +461,9 @@ def design_power_law(
     f_anchor, s_anchor = anchor
     if f_anchor <= 0 or s_anchor < 0:
         raise ValueError("anchor must have positive frequency and non-negative PSD")
+    if f_anchor > nyquist or (f_anchor == nyquist and f_hi < nyquist):
+        raise ValueError(f"anchor {f_anchor:.6g} Hz must lie below Nyquist {nyquist:.6g} Hz, "
+                         "or at it when the band reaches it")
     if s_anchor == 0.0:
         return ArmaModel(ar=(), ma=(1.0,), drive_std=0.0, sample_period=sample_period)
 

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .noise_models import _read_only
 from .qubit_sim import ExperimentRecord, _survival_stats
 from .seeds import as_lineage
 from .sequences import FilterFunction, _filters_by_label
@@ -142,9 +143,7 @@ class SpectrumEstimate:
 
     def __post_init__(self):
         for name in ("freqs", "values", "bin_edges", "stderr"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @property
     def bin_widths(self) -> np.ndarray:

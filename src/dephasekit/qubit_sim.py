@@ -275,19 +275,14 @@ def _sdr_slot_phases(
     n_shots, n_steps = phases.shape
     cum = np.zeros((n_shots, n_steps + 1))
     np.cumsum(phases, axis=1, out=cum[:, 1:])
-    # piecewise-linear cumulative phase at slot boundaries, lo + frac * (hi - lo) in place
-    x = np.add.outer(offsets, gate_period * np.arange(n_slots + 1))
-    x /= t_s
+    # piecewise-linear cumulative phase at slot boundaries, lo + rise * frac
+    x = np.add.outer(offsets, gate_period * np.arange(n_slots + 1)) / t_s
     i = np.clip(np.floor(x).astype(int), 0, n_steps - 1)
-    x -= i
     lo = np.take_along_axis(cum, i, axis=1)
-    i += 1
-    hi = np.take_along_axis(cum, i, axis=1)
-    hi -= lo
-    hi *= x
-    hi += lo
-    # the slot phases are np.diff(hi), written over x, which is no longer read
-    return np.subtract(hi[:, 1:], hi[:, :-1], out=x[:, 1:])
+    rise = np.take_along_axis(cum, i + 1, axis=1) - lo
+    frac = x - i
+    del cum, x, i  # freed before the three temporaries below, or a block's peak memory grows
+    return np.diff(lo + rise * frac, axis=1)
 
 
 def run_experiment(

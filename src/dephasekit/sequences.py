@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise_models import DEFAULT_GRID_SIZE, Spectrum, _dtft_power, _grid_freqs
+from .noise_models import DEFAULT_GRID_SIZE, Spectrum, _dtft_power, _grid_freqs, _read_only
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,8 @@ class FilterFunction:
         weights = np.asarray(self.weights, dtype=float)
         if freqs.shape != weights.shape or freqs.ndim != 1:
             raise ValueError("freqs and weights must be 1-d arrays of equal length")
-        freqs.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "freqs", _read_only(freqs))
+        object.__setattr__(self, "weights", _read_only(weights))
 
     def chi(self, spectrum: Spectrum) -> float:
         """Contract the filter with a PSD sampled on the same grid."""

@@ -1,7 +1,8 @@
 """File formats: CSV for tabular artifacts, JSON documents for structures.
 
 Every artifact goes through one CSV writer, one CSV row reader with one cell
-parser, and one JSON reader/writer.  The CSV reader yields rows one at a time,
+parser, and one JSON reader/writer; every spectrum CSV, a design's PSD or a
+reconstruction, through one reader.  The CSV reader yields rows one at a time,
 as they are read, so a reader holds only what it parses out of each row; the
 writer writes each line as it formats it.  Floats are written with ``repr`` so
 a value survives a write/read cycle bit-exactly and identical runs produce
@@ -175,19 +176,15 @@ def write_spectrum_csv(path, spectrum: "Spectrum | SpectrumEstimate") -> None:
     write_csv(path, SPECTRUM_FIELDS, zip(spectrum.freqs, spectrum.values))
 
 
-def read_spectrum_arrays(path) -> "tuple[np.ndarray, np.ndarray]":
-    """Frequencies and PSD values of a spectrum or reconstruction CSV."""
+def read_spectrum_csv(path) -> Spectrum:
+    """The :class:`Spectrum` of any spectrum CSV, a design's PSD or a reconstruction: its
+    ``freq_hz`` and ``psd_rad2_per_hz`` columns; other columns are not read."""
     freqs, values = [], []
     for i, row in _csv_rows(path, SPECTRUM_FIELDS):
         freqs.append(_cell(path, i, row, "freq_hz"))
         values.append(_cell(path, i, row, "psd_rad2_per_hz"))
-    return np.array(freqs, dtype=float), np.array(values, dtype=float)
-
-
-def read_spectrum_csv(path, sample_period: float) -> Spectrum:
-    freqs, values = read_spectrum_arrays(path)
     try:
-        return Spectrum(freqs=freqs, values=values, sample_period=sample_period)
+        return Spectrum(freqs=freqs, values=values)
     except ValueError as exc:
         raise SchemaError(f"{path}: invalid spectrum: {exc}") from exc
 

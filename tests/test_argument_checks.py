@@ -1,10 +1,12 @@
-"""Library argument checks: each bad argument fails with its own ValueError message."""
+"""Library argument checks: each bad argument fails with its own ValueError message; and
+every array an artifact holds refuses writes."""
 
 import os
 
 import numpy as np
 import pytest
 
+from dephasekit.circuits import emit_circuit, parse_circuit
 from dephasekit.noise_models import (
     ArmaModel,
     Spectrum,
@@ -17,10 +19,10 @@ from dephasekit.noise_models import (
     psd,
 )
 from dephasekit.predictor import WHITE_ONLY, _ModelMatrix
-from dephasekit.qns_recon import bootstrap_spectrum, reconstruct_spectrum
+from dephasekit.qns_recon import bootstrap_spectrum, reconstruct_spectrum, subtract_native
 from dephasekit.qubit_sim import ExperimentRecord, GateMode, run_experiment, run_shot
 from dephasekit.sequences import FilterFunction, PulseSequence, filter_function, make_fttps
-from dephasekit.serialize import write_raw_survivals_csv
+from dephasekit.serialize import read_spectrum_csv, write_raw_survivals_csv, write_spectrum_csv
 
 T_G = 100e-9
 MODEL = ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G)
@@ -47,14 +49,12 @@ def _one_peak():
 
 
 CASES = {
-    "spectrum-shape": (lambda: Spectrum(np.zeros(3), np.zeros(2), T_G),
+    "spectrum-shape": (lambda: Spectrum(np.zeros(3), np.zeros(2)),
                        "1-d arrays of equal length"),
-    "spectrum-descending": (lambda: Spectrum([2.0, 1.0], [0.0, 0.0], T_G),
+    "spectrum-descending": (lambda: Spectrum([2.0, 1.0], [0.0, 0.0]),
                             "freqs must be strictly ascending"),
-    "spectrum-negative": (lambda: Spectrum([1.0, 2.0], [0.0, -1.0], T_G),
+    "spectrum-negative": (lambda: Spectrum([1.0, 2.0], [0.0, -1.0]),
                           "PSD values must be non-negative"),
-    "spectrum-period": (lambda: Spectrum([1.0, 2.0], [0.0, 0.0], 0.0),
-                        "sample_period must be > 0"),
     "arma-non-finite": (lambda: ArmaModel(ar=(), ma=(np.inf,), drive_std=1.0, sample_period=T_G),
                         "ARMA coefficients must be finite"),
     "autocovariance-lag": (lambda: autocovariance(MODEL, -1), "max_lag must be >= 0"),
@@ -67,6 +67,14 @@ CASES = {
                         "band power must be >= 0"),
     "power-law-anchor": (lambda: design_power_law(1.0, (0.0, 1e-9), (1e5, 4e6), T_G),
                          "anchor must have positive frequency"),
+    # no PSD passes through these anchors: the target is 0 at the taper's end, and the
+    # design grid stops at Nyquist
+    "power-law-anchor-taper-end": (lambda: design_power_law(1.0, (5e6, 1e-9), (1e5, 4e6), T_G),
+                                   r"anchor 5e\+06 Hz must lie below Nyquist 5e\+06 Hz"),
+    "power-law-anchor-tapered": (lambda: design_power_law(1.0, (1e7, 1e-9), (1e5, 4e6), T_G),
+                                 r"anchor 1e\+07 Hz must lie below Nyquist 5e\+06 Hz"),
+    "power-law-anchor-nyquist": (lambda: design_power_law(1.0, (6e6, 1e-9), (1e5, 5e6), T_G),
+                                 r"anchor 6e\+06 Hz must lie below Nyquist 5e\+06 Hz"),
     "lorentzian-amplitude": (lambda: design_lorentzian(-1.0, 1e6, 0.0, T_G),
                              "amplitude and white_floor must be >= 0"),
     "lorentzian-cutoff": (lambda: design_lorentzian(1e-9, 0.0, 0.0, T_G),
@@ -128,3 +136,48 @@ def test_argument_check(case):
     call, message = CASES[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _spectrum_read_back(tmp_path):
+    write_spectrum_csv(tmp_path / "psd.csv", psd(MODEL, 33))
+    return read_spectrum_csv(tmp_path / "psd.csv")
+
+
+def _raw_records():
+    return run_experiment(_seqs(), MODEL, mode=GateMode(4, 10), keep_raw=True)
+
+
+def _circuit():
+    seq = _seqs()[1]
+    return parse_circuit(emit_circuit(seq, np.linspace(-0.1, 0.1, seq.n_slots)))
+
+
+ESTIMATE = ("freqs", "values", "bin_edges", "stderr")
+READ_ONLY = {
+    "psd": (lambda tmp_path: psd(MODEL, 33), ("freqs", "values")),
+    "read-spectrum-csv": (_spectrum_read_back, ("freqs", "values")),
+    "trajectory": (lambda tmp_path: generate_trajectory(MODEL, 16, 0), ("phases",)),
+    "reconstruction": (lambda tmp_path: reconstruct_spectrum(_records(), _filters()), ESTIMATE),
+    "bootstrap-median": (
+        lambda tmp_path: bootstrap_spectrum(_raw_records(), _filters(), resamples=2).median,
+        ESTIMATE,
+    ),
+    "subtraction": (
+        lambda tmp_path: subtract_native(*[reconstruct_spectrum(_records(m), _filters())
+                                           for m in (0.9, 0.95)]).spectrum,
+        ESTIMATE,
+    ),
+    "filter-function": (lambda tmp_path: _filters()[1], ("freqs", "weights")),
+    "parsed-circuit": (lambda tmp_path: _circuit(), ("slot_phases",)),
+}
+
+
+@pytest.mark.parametrize("case", READ_ONLY)
+def test_artifact_arrays_are_read_only(tmp_path, case):
+    make, names = READ_ONLY[case]
+    artifact = make(tmp_path)
+    for name in names:
+        values = getattr(artifact, name)
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            values[...] = 0.0

@@ -61,7 +61,7 @@ def test_spectrum_roundtrip(tmp_path):
     spec = psd(design_bandpass(1.0e6, 0.2e6, 1e-3, T_G, taps=41), 129)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, spec)
-    back = read_spectrum_csv(path, T_G)
+    back = read_spectrum_csv(path)
     assert np.array_equal(back.freqs, spec.freqs)
     assert np.array_equal(back.values, spec.values)
     assert path.read_text().splitlines()[0] == "freq_hz,psd_rad2_per_hz"
@@ -147,7 +147,7 @@ RECORD_HEADER = "seq_index,n_pulses,survival_mean,survival_stderr,shots,trajecto
         ("records.csv", RECORD_HEADER + "0,0,0.9,inf,10,1,7\n",
          read_records_csv, "line 2: survival_stderr"),
         ("spectrum.csv", "freq_hz,psd_rad2_per_hz\n0.0,1.0\n5.0,nan\n",
-         lambda p: read_spectrum_csv(p, T_G), "line 3: psd_rad2_per_hz"),
+         lambda p: read_spectrum_csv(p), "line 3: psd_rad2_per_hz"),
         ("raw.csv", "seq_index,trajectory,survival\n0,0,nan\n",
          lambda p: read_raw_survivals_csv(p, []), "line 2: survival"),
         ("raw.csv", "seq_index,trajectory,survival\n0,0,0.5\n0,1,1.5\n",
@@ -183,7 +183,7 @@ def test_readers_reject_non_finite_and_out_of_range(tmp_path, name, text, read, 
 @pytest.mark.parametrize(
     "name, header, read",
     [("records.csv", RECORD_HEADER, read_records_csv),
-     ("spectrum.csv", "freq_hz,psd_rad2_per_hz\n", lambda p: read_spectrum_csv(p, T_G)),
+     ("spectrum.csv", "freq_hz,psd_rad2_per_hz\n", lambda p: read_spectrum_csv(p)),
      ("raw.csv", "seq_index,trajectory,survival\n", lambda p: read_raw_survivals_csv(p, []))],
     ids=["records", "spectrum", "raw"],
 )
@@ -261,10 +261,10 @@ def records_strategy(draw):
 )
 @example(freqs=[0.0, 5e-324, 1e-310, 1.7976931348623157e308], values=[5e-324, 0.0, 1e-310, 1.0])
 def test_spectrum_csv_roundtrip_bit_exact(tmp_path, freqs, values):
-    spec = Spectrum(freqs=np.array(freqs), values=np.array(values[: len(freqs)]), sample_period=T_G)
+    spec = Spectrum(freqs=np.array(freqs), values=np.array(values[: len(freqs)]))
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, spec)
-    back = read_spectrum_csv(path, T_G)
+    back = read_spectrum_csv(path)
     assert _bits(back.freqs) == _bits(spec.freqs)
     assert _bits(back.values) == _bits(spec.values)
 
@@ -389,7 +389,7 @@ def test_cli_design_outputs(pipeline):
     _, out, _ = pipeline
     model = read_model_json(out / "injected.json")
     assert model.ar == ()
-    spec = read_spectrum_csv(out / "injected_psd.csv", T_G)
+    spec = read_spectrum_csv(out / "injected_psd.csv")
     assert spec.values.max() > 0
 
 
@@ -667,7 +667,7 @@ def test_cli_design_zero_power(tmp_path):
     assert main(["design", "--config", cfg, "--out-dir", str(out)]) == 0
     model = read_model_json(out / "zero.json")
     assert model.drive_std == 0.0
-    spec = read_spectrum_csv(out / "zero_psd.csv", T_G)
+    spec = read_spectrum_csv(out / "zero_psd.csv")
     assert np.all(spec.values == 0.0)
 
 
@@ -696,6 +696,17 @@ def test_cli_numerical_failure_exit_code(tmp_path):
         },
     )
     assert main(["design", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+
+
+def test_cli_power_law_anchor_above_nyquist_exit_code(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "power_law.json",
+        {"schema_version": 1, "kind": "power_law", "alpha": 1.0, "anchor_freq_hz": 6e6,
+         "anchor_psd": 1e-9, "band_lo_hz": 1e5, "band_hi_hz": 5e6, "sample_period_s": T_G},
+    )
+    assert main(["design", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert "anchor 6e+06 Hz must lie below Nyquist 5e+06 Hz" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
 
 
 @pytest.mark.parametrize("alpha", [1e300, -1e300])
@@ -908,6 +919,22 @@ def test_cli_reconstruct_header_only_raw_survivals_exit_code(tmp_path, capsys):
     })
     assert main(["reconstruct", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
     assert f"{raw}: no data rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rows", ["2.0,1e-9,0.0,2e-9\n1.0,1e-9,0.0,2e-9\n", "1.0,1e-9,0.0,2e-9\n2.0,-1e-9,0.0,0.0\n"],
+    ids=["descending-freqs", "negative-psd"],
+)
+def test_cli_report_refuses_an_invalid_reconstruction(tmp_path, capsys, rows):
+    # report reads a reconstruction with the one spectrum reader, which checks it as fit does
+    records, recon = tmp_path / "records.csv", tmp_path / "spectrum.csv"
+    records.write_text(RECORD_HEADER + "0,0,0.9,0.01,100,1,7\n")
+    recon.write_text("freq_hz,psd_rad2_per_hz,ci_lo,ci_hi\n" + rows)
+    cfg = write_json(tmp_path / "cfg.json", {"schema_version": 1, "records": str(records),
+                                             "reconstruction": str(recon)})
+    assert main(["report", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"{recon}: invalid spectrum" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -1319,7 +1346,7 @@ def test_cli_reconstruct_zero_noise(tmp_path):
         },
     )
     assert main(["reconstruct", "--config", recon_cfg, "--out-dir", str(out)]) == 0
-    spec = read_spectrum_csv(out / "spectrum.csv", T_G)
+    spec = read_spectrum_csv(out / "spectrum.csv")
     assert np.all(spec.values == 0.0)
 
 
@@ -1348,7 +1375,7 @@ def test_cli_reconstruct_delta_spectrum(tmp_path):
     )
     out = tmp_path / "out"
     assert main(["reconstruct", "--config", cfg, "--out-dir", str(out)]) == 0
-    delta = read_spectrum_csv(out / "spectrum_delta.csv", T_G)
+    delta = read_spectrum_csv(out / "spectrum_delta.csv")
     peak = delta.freqs[np.argmax(delta.values)]
     assert abs(peak - 1.0e6) < 0.15e6
 

@@ -433,6 +433,16 @@ def test_power_law_slope(alpha):
     assert np.interp(0.5e6, spec.freqs, spec.values) == pytest.approx(1e-6, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "anchor_hz, band_hi_hz",
+    [(4.5e6, 4e6), (0.05e6, 4e6), (5e6, 5e6)],
+    ids=["in-taper", "below-band", "nyquist-untapered"],
+)
+def test_power_law_passes_through_an_anchor_off_the_law(anchor_hz, band_hi_hz):
+    spec = psd(design_power_law(1.0, (anchor_hz, 1e-9), (0.1e6, band_hi_hz), T_S))
+    assert np.interp(anchor_hz, spec.freqs, spec.values) == pytest.approx(1e-9, rel=1e-9)
+
+
 def test_power_law_alpha_zero_matches_flat_bandpass():
     # the two designers normalize differently (anchor vs exact total power),
     # so match the anchor to the bandpass's realized plateau and compare
