@@ -184,7 +184,11 @@ def cmd_reconstruct(config: dict, args, out: Path) -> None:
         native_records = serialize.read_records_csv(native_path)
         serialize.check_records_match_sequences(native_path, native_records, seqs)
     grid_size = field(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
-    filters = [sequences.filter_function(s, grid_size) for s in seqs]
+    # a generator leaves the inversion the only holder of the filters, which it frees once
+    # they are binned; the native estimate reads them again, so there they are kept
+    filters = (sequences.filter_function(s, grid_size) for s in seqs)
+    if native_path:
+        filters = list(filters)
     floor = _saturation_floor(config)
     ridge = field(config, "ridge", float, 0.0, at_least=0)
     bins = field(config, "bins", int, None, at_least=1)

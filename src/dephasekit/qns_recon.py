@@ -11,7 +11,7 @@ saturated and excluded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -202,7 +202,7 @@ def _binned_filter_matrix(
 
 def reconstruct_spectrum(
     records: Sequence[ExperimentRecord],
-    filters: Sequence[FilterFunction],
+    filters: Iterable[FilterFunction],
     bins: Optional[int] = None,
     ridge: float = 0.0,
     saturation_floor: float = DEFAULT_SATURATION_FLOOR,
@@ -338,7 +338,7 @@ class BootstrapSpectrum:
 
 def bootstrap_spectrum(
     records: Sequence[ExperimentRecord],
-    filters: Sequence[FilterFunction],
+    filters: Iterable[FilterFunction],
     resamples: int,
     quantiles: tuple[float, float] = (0.025, 0.975),
     seed: int = 0,
@@ -354,15 +354,19 @@ def bootstrap_spectrum(
     their means and stderrs recomputed by one call per trajectory count, and the
     inversion re-run on the bin grid of the point estimate.  The binned filter
     matrix is built once for all records; a resample keeps the rows of its
-    unsaturated records.
+    unsaturated records.  The bootstrap keeps its own list of the filters and drops it
+    once they are binned, so filters that nothing else holds (handed in as a generator,
+    say) are freed before the first resample.
     """
     if resamples < 1:
         raise ValueError("resamples must be >= 1")
     if any(r.trajectory_survivals is None for r in records):
         raise ValueError("records lack per-trajectory survivals (run with keep_raw=True)")
+    filters = list(filters)
     point = reconstruct_spectrum(records, filters, bins, ridge, saturation_floor)
-    rng = as_lineage(seed).generator()
     design = _binned_filter_matrix(records, _filters_by_label(records, filters), point.bin_edges)
+    del filters  # the resamples read only the binned design
+    rng = as_lineage(seed).generator()
     survivals = np.concatenate([r.trajectory_survivals for r in records])
     sizes = np.array([r.trajectory_survivals.size for r in records])
     starts = np.cumsum(sizes) - sizes

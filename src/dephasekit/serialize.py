@@ -300,32 +300,46 @@ def read_raw_survivals_csv(
 ) -> "list[ExperimentRecord]":
     """Attach per-trajectory survivals from a sidecar file to matching records.
 
-    Each survival goes to its ``trajectory`` index, so the rows may come in any order.  The
-    rows are parsed as they are read, into four columns.
+    Each survival is written to its ``trajectory`` index as its row is read, so the rows may
+    come in any order and the reader keeps only a count per sequence.  A row it cannot place
+    (no matching record, a trajectory out of range or repeated) is reported after the count
+    checks, as the first such row of the file.
     """
-    lines, labels, trajectories, survivals = [], [], [], []
+    raw, placed, unallocated = {}, {}, {}
+    for r in records:
+        try:  # zero-filled, so only the pages that rows write to take memory
+            raw[r.label], placed[r.label] = np.zeros(r.trajectories), np.zeros(r.trajectories, bool)
+        except (MemoryError, ValueError) as exc:  # a size no file matches: its count check fails
+            unallocated[r.label] = exc
+    counts = collections.Counter()
+    fault = None
     for i, row in _csv_rows(path, RAW_SURVIVAL_FIELDS):
-        lines.append(i)
-        labels.append(_cell(path, i, row, "seq_index", int))
-        trajectories.append(_cell(path, i, row, "trajectory", int))
-        survivals.append(_cell(path, i, row, "survival", lo=0.0, hi=1.0))
-    counts = collections.Counter(labels)
+        label = _cell(path, i, row, "seq_index", int)
+        t = _cell(path, i, row, "trajectory", int)
+        survival = _cell(path, i, row, "survival", lo=0.0, hi=1.0)
+        counts[label] += 1
+        if fault is not None or label in unallocated:
+            continue
+        values = raw.get(label)
+        if values is None:
+            fault = f"line {i}: seq_index {label}: no matching record"
+        elif not 0 <= t < values.size:
+            fault = f"line {i}: trajectory {t} outside [0, {values.size})"
+        elif placed[label][t]:
+            fault = f"line {i}: trajectory {t} of sequence {label} repeated"
+        else:
+            values[t] = survival
+            placed[label][t] = True
     for r in records:
         if not counts[r.label]:
             raise SchemaError(f"{path}: no rows for sequence {r.label}")
         if counts[r.label] != r.trajectories:
             raise SchemaError(f"{path}: sequence {r.label} has {counts[r.label]} rows, "
                               f"record expects {r.trajectories}")
-    raw = {r.label: np.full(r.trajectories, np.nan) for r in records}
-    for i, label, t, survival in zip(lines, labels, trajectories, survivals):
-        values = raw.get(label)
-        if values is None:
-            raise SchemaError(f"{path}: line {i}: seq_index {label}: no matching record")
-        if not 0 <= t < values.size:
-            raise SchemaError(f"{path}: line {i}: trajectory {t} outside [0, {values.size})")
-        if not math.isnan(values[t]):  # survivals are finite, so nan marks a place not yet filled
-            raise SchemaError(f"{path}: line {i}: trajectory {t} of sequence {label} repeated")
-        values[t] = survival
+    for exc in unallocated.values():  # a file with that many rows: the array is needed now
+        raise exc
+    if fault is not None:
+        raise SchemaError(f"{path}: {fault}")
     return [dataclasses.replace(r, trajectory_survivals=raw[r.label]) for r in records]
 
 

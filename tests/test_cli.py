@@ -197,7 +197,8 @@ def test_csv_readers_refuse_files_without_data_rows(tmp_path, name, header, read
 
 
 def test_csv_codec_memory_per_row(tmp_path):
-    # the writer holds one line at a time and the reader a few numbers a row, not the text:
+    # the writer holds one line at a time and the reader places each survival as it reads
+    # its row, keeping no per-row data beyond the survival itself:
     # 40 records x 1,000 trajectories is 40,000 rows of records_raw.csv
     rng = np.random.default_rng(0)
     records = [ExperimentRecord(k, k, 0.9, 0.01, 10, 1000, 7, rng.random(1000))
@@ -217,7 +218,7 @@ def test_csv_codec_memory_per_row(tmp_path):
     assert all(_bits(b.trajectory_survivals) == _bits(r.trajectory_survivals)
                for r, b in zip(records, back))
     assert write_peak / rows < 20
-    assert read_peak / rows < 150
+    assert read_peak / rows < 40
 
 
 # write -> read is bit-exact for every format, down to the smallest subnormal
@@ -283,6 +284,17 @@ def test_records_and_raw_survivals_csv_roundtrip_bit_exact(tmp_path, records):
             [b.survival_mean, b.survival_stderr]
         )
         assert _bits(r.trajectory_survivals) == _bits(b.trajectory_survivals)
+
+
+@pytest.mark.parametrize("trajectories", [10**20, -1])
+def test_raw_survivals_count_check_reports_an_unallocatable_record(tmp_path, trajectories):
+    # the reader sizes each record's array before the rows; a record no array can hold, or
+    # one with a negative count, still fails its count check, with its message
+    path = tmp_path / "raw.csv"
+    path.write_text("seq_index,trajectory,survival\n0,0,0.9\n0,5,0.8\n")
+    record = ExperimentRecord(0, 0, 0.9, 0.01, 10, trajectories, 7)
+    with pytest.raises(SchemaError, match=f"has 2 rows, record expects {trajectories}$"):
+        read_raw_survivals_csv(path, [record])
 
 
 def test_raw_survivals_read_back_in_any_row_order(tmp_path):

@@ -1,6 +1,7 @@
 """Reconstruction tests: inversion round trips, subtraction, bootstrap."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -549,6 +550,30 @@ def test_bootstrap_equals_per_resample_design(seqs, filters):
     assert np.array_equal(result.median.values, np.median(values, axis=0))
     assert np.array_equal(result.lower, np.quantile(values, 0.025, axis=0))
     assert np.array_equal(result.upper, np.quantile(values, 0.975, axis=0))
+
+
+def test_bootstrap_frees_filters_before_resampling(mc_run, seqs, monkeypatch):
+    # handed a generator, the bootstrap keeps only the binned design: no FilterFunction is
+    # alive while a resample is solved, whatever the interpreter does with call arguments
+    _, records = mc_run
+    refs, alive, inversion = [], [], qns_recon._weighted_inversion
+
+    def watched(seq):
+        filt = filter_function(seq)
+        refs.append(weakref.ref(filt))
+        return filt
+
+    def counting(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return inversion(*args)
+
+    monkeypatch.setattr(qns_recon, "_weighted_inversion", counting)
+    result = bootstrap_spectrum(records, (watched(s) for s in seqs), resamples=3, seed=1)
+    assert len(refs) == 64 and alive == [64, 0, 0, 0]
+    # the same band as from a list the caller keeps
+    held = bootstrap_spectrum(records, [filter_function(s) for s in seqs], resamples=3, seed=1)
+    assert np.array_equal(result.lower, held.lower) and np.array_equal(result.upper, held.upper)
+    assert np.array_equal(result.point.values, held.point.values)
 
 
 @pytest.mark.parametrize("case", range(20))
