@@ -35,6 +35,10 @@ DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
 # most normals one standard_normal call of the draw rule draws, unless one row is wider
 _NORMALS_PER_CALL = 2**16
+# most normals one call of a phase-sum pass draws, unless one row is wider: the pass holds one
+# call and runs only a matrix-vector product between calls, so small calls cost it little;
+# a phase-forming draw block pays a GIL hand-off per call and keeps _NORMALS_PER_CALL
+_SUM_NORMALS_PER_CALL = 2**14
 # np.convolve's correlate sums kernels of up to this many taps left to right from 0 in its
 # own small-kernel loop (numpy's small_correlate); longer kernels go through one ddot per output
 _SMALL_KERNEL_TAPS = 11
@@ -258,11 +262,18 @@ def _phase_sum_kernel(model: ArmaModel, weights: np.ndarray) -> np.ndarray:
 def _model_phase_sums(model: ArmaModel, generator, rows: int, kernel: np.ndarray) -> np.ndarray:
     """(rows,) weighted sums ``_model_phases(model, generator, rows, len(weights)) @ weights``,
     equal to rounding, without forming a phase row: the next ``rows`` rows of
-    :func:`_kept_normals` times ``kernel = _phase_sum_kernel(model, weights)``, one
-    matrix-vector product.  It draws exactly what :func:`_model_phases` draws.
+    :func:`_kept_normals`, drawn in batches of at most ``_SUM_NORMALS_PER_CALL`` normals (or
+    one row), each batch times ``kernel = _phase_sum_kernel(model, weights)`` as soon as it
+    is drawn.  It draws exactly what :func:`_model_phases` draws, in the same order, and holds
+    one batch at a time.
     """
     steps = len(kernel) - (len(model.taps()) - 1)
-    return _kept_normals(model, generator, rows, steps) @ kernel
+    batch = max(1, _SUM_NORMALS_PER_CALL // (model.burn_in + steps))
+    sums = np.empty(rows)
+    for r in range(0, rows, batch):
+        n = min(batch, rows - r)
+        sums[r:r + n] = _kept_normals(model, generator, n, steps) @ kernel
+    return sums
 
 
 def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:

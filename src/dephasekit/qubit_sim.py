@@ -6,9 +6,9 @@ R_x(+-(pi + eps + delta_j)) for pulse slots); it closes with the R_x(+-pi/2) gat
 returns a noiseless qubit to the target state, and measures.  With perfect pulses
 (eps = delta = 0) the survival is the closed form (1 + cos Phi) / 2, Phi = sum_j y_j phi_j
 weighted by the switching function; imperfect pulses propagate the exact 2x2 unitary.
-Phi is linear in the normals a stream keeps, so a perfect-pulse gate run takes it as one
-matrix-vector product per stream and forms no phase rows; SDR mode, imperfect pulses and
-``run_shot`` form the phases.
+Phi is linear in the normals a stream keeps, so a perfect-pulse gate run takes it from them in
+one pass per stream and forms no phase rows; SDR mode, imperfect pulses and ``run_shot`` form
+the phases.
 
 Two injection styles are supported: GATE mode shares one trajectory across a
 block of shots (fresh trajectory per repetition), while SDR mode gives every
@@ -47,10 +47,13 @@ from .sequences import PulseSequence, chi_time_domain, switching_function
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # most normals one stream of one sequence may keep, rows x (len(taps) - 1 + steps): a run
-# holds one draw block of them at a time, an export holds them all
+# holds one draw block or phase-sum batch of them at a time, an export holds them all
 _MAX_STREAM_NORMALS = 2**24
-# normals per draw block: a simulated sequence draws, filters and propagates this many at a
-# time, coarse enough that threads rarely wait on the GIL and the per-pulse loop stays cheap
+# normals per draw block of a run that forms phase rows (SDR mode, imperfect pulses): a block
+# bounds the phase rows a worker holds and amortizes _propagate's per-pulse loop, and its
+# draws keep ``_NORMALS_PER_CALL``, since each call of a block pays a GIL hand-off between
+# Python steps.  A perfect-pulse gate run needs no block: it forms no rows, and between
+# draws its _model_phase_sums runs only a matrix-vector product, so its calls can be small
 _DRAW_BLOCK = 2**17
 
 
@@ -347,12 +350,15 @@ def _run_sequence(
 ) -> ExperimentRecord:
     """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots.
 
-    Each used stream's :func:`_stream_source` is opened once, and the rows run one draw block
-    at a time (about ``_DRAW_BLOCK`` normals of the widest drawn row): a block draws its rows
-    of every stream, filters them, resamples them onto slots in SDR mode and propagates them
-    before the next block draws, so a worker's memory does not grow with rows.  The SDR
-    offsets are drawn before the first block and the outcomes, SDR uniforms or gate binomials,
-    in one call after the last, from the one measurement generator.
+    Each used stream's :func:`_stream_source` is opened once.  Perfect gate pulses read only
+    Phi, which each stream's :func:`_model_phase_sums` gives for every row in one pass, and
+    one :func:`_ideal_survival` call turns into survivals.  A run that forms phase rows runs
+    them one draw block at a time (about ``_DRAW_BLOCK`` normals of the widest drawn row): a
+    block draws its rows of every stream, filters them, resamples them onto slots in SDR mode
+    and propagates them before the next block draws.  Either way a worker's memory does not
+    grow with rows beyond a few numbers a row.  The SDR offsets are drawn before the first
+    row and the outcomes, SDR uniforms or gate binomials, in one call after the last, from the
+    one measurement generator.
     """
     sdr = isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
@@ -366,36 +372,32 @@ def _run_sequence(
         _stream_source(root, seq, stream) if used else None
         for stream, used in ((STREAM_INJECTED, draws(model)), (STREAM_NATIVE, draws(native_model)),
                              (STREAM_PULSE_JITTER, perr.jitter_std > 0)))
-    widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
-                                   ((model, steps), (native_model, seq.n_slots)) if draws(m)])
-    block = max(1, _DRAW_BLOCK // max(widest, 1))
-    sums = None
-    if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
-        # perfect pulses read only Phi, which is linear in each stream's kept normals: one
-        # kernel per stream serves every block
-        y = switching_function(seq)
-        sums = [(m, source, _phase_sum_kernel(m, y))
-                for m, source in ((model, injected), (native_model, native)) if draws(m)]
     measurement = _stream_source(root, seq, STREAM_MEASUREMENT)
     if sdr:
         offsets = (measurement.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
     p = np.empty(rows)
-    for r in range(0, rows, block):
-        n = min(block, rows - r)
-        if sums is not None:
-            p[r:r + n] = _ideal_survival(sum(_model_phase_sums(m, source, n, kernel)
-                                             for m, source, kernel in sums))
-            continue
-        phases = _model_phases(model, injected, n, steps)
-        if sdr:
-            phases = _sdr_slot_phases(phases, model.sample_period, seq.n_slots, seq.gate_period,
-                                      offsets[r:r + n])
-        phases += _model_phases(native_model, native, n, seq.n_slots)
-        jitter = np.zeros((n, seq.n_pulses))
-        if jitter_source is not None:
-            jitter = perr.jitter_std * _unit_normals(jitter_source, jitter.shape)
-        p[r:r + n] = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
+    if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
+        # Phi is linear in each stream's kept normals; the broadcast fills a silent run's 1.0
+        y = switching_function(seq)
+        p[:] = _ideal_survival(sum(_model_phase_sums(m, source, rows, _phase_sum_kernel(m, y))
+                                   for m, source in ((model, injected), (native_model, native))
+                                   if draws(m)))
+    else:
+        widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
+                                       ((model, steps), (native_model, seq.n_slots)) if draws(m)])
+        block = max(1, _DRAW_BLOCK // max(widest, 1))
+        for r in range(0, rows, block):
+            n = min(block, rows - r)
+            phases = _model_phases(model, injected, n, steps)
+            if sdr:
+                phases = _sdr_slot_phases(phases, model.sample_period, seq.n_slots,
+                                          seq.gate_period, offsets[r:r + n])
+            phases += _model_phases(native_model, native, n, seq.n_slots)
+            jitter = np.zeros((n, seq.n_pulses))
+            if jitter_source is not None:
+                jitter = perr.jitter_std * _unit_normals(jitter_source, jitter.shape)
+            p[r:r + n] = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
     if sdr:
         shots, fractions = 1, (measurement.random(rows) < p).astype(float)
     else:

@@ -314,6 +314,26 @@ def test_taps_are_computed_once_and_read_only(model):
         taps[0] = 0.0
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    ar=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=4).map(stable_ar),
+    # no subnormal coefficients: taps() cannot see a response decay below the smallest one
+    ma=st.lists(st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False), min_size=1,
+                max_size=300).filter(any),
+)
+@example(ar=(), ma=tuple(np.linspace(-1, 1, 257)))
+@example(ar=(0.99,), ma=(1.0,))
+@example(ar=(0.0,), ma=(1.0,))
+def test_burn_in_per_family(ar, ma):
+    # a pure-MA model warms up over 10 len(ma) draws, past its len(ma) - 1 taps of memory; an
+    # AR model's taps start at (q+1) + 10(p+q+1) and only grow, so its warm-up is its memory
+    model = ArmaModel(ar=ar, ma=tuple(ma), drive_std=1.0, sample_period=T_S)
+    if ar:
+        assert model.burn_in == len(model.taps()) - 1 >= 10 * (len(ar) + len(ma))
+    else:
+        assert model.burn_in == 10 * len(ma) > len(model.taps()) - 1
+
+
 # ---------------------------------------------------------------------------
 # autocovariance
 # ---------------------------------------------------------------------------

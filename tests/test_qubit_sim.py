@@ -356,6 +356,35 @@ def test_perfect_pulse_gate_survival_is_propagated_phases(seq, model, native, ta
     assert np.max(np.abs(survivals[0] - want)) <= 1e-12
 
 
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(family=st.sampled_from([make_fttps, make_rfttps]),
+       native=st.sampled_from(PHASE_SUM_MODELS[1:3]), target_state=st.sampled_from([0, 1]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_perfect_pulse_gate_rows_span_draw_calls(family, native, target_state, seed):
+    # 50 rows of the 257-tap model span nine draw calls of at most 2^14 normals, and a
+    # native AR(1) at 0.99 25 calls: each sequence still makes one _ideal_survival call, whose
+    # survivals are _propagate's on the whole-stream phases
+    model, rows, seqs = PHASE_SUM_MODELS[0], 50, family(3, N, T_G)
+    assert rows > noise_models._SUM_NORMALS_PER_CALL // (model.burn_in + N)
+    root = SeedLineage(seed)
+    wants = []
+    for seq in seqs:
+        phases = sum(_model_phases(m, _source(root, seq.label, stream), rows, N)
+                     for m, stream in ((model, STREAM_INJECTED), (native, STREAM_NATIVE)))
+        wants.append(_propagate(phases, seq, 0.0, np.zeros((rows, seq.n_pulses)), target_state))
+    survivals, ideal_survival = [], qubit_sim._ideal_survival
+    with pytest.MonkeyPatch.context() as patch:
+        # one worker runs the sequences in order, so the calls come in sequence order
+        patch.setattr(qubit_sim, "_cpu_count", lambda: 1)
+        patch.setattr(qubit_sim, "_ideal_survival",
+                      lambda phi: survivals.append(ideal_survival(phi)) or survivals[-1])
+        run_experiment(seqs, model, native_model=native, mode=GateMode(rows, 1), seed=seed,
+                       target_state=target_state)
+    assert len(survivals) == len(seqs)
+    for got, want in zip(survivals, wants):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("over_rotation", [0.0, 0.01])
 def test_only_imperfect_gate_pulses_form_phase_rows(over_rotation, monkeypatch):
     # perfect gate pulses read only Phi, taken from the kept normals; an over-rotation needs
@@ -614,6 +643,27 @@ def test_gate_run_holds_only_filtered_columns():
         finally:
             tracemalloc.stop()
         assert peak < full_width, name
+
+
+def test_perfect_pulse_gate_run_holds_one_small_draw():
+    # a perfect-pulse gate run forms no phase rows and draws its 300 trajectories in calls of
+    # at most 2^14 normals (128 KB), each reduced to Phi before the next: no draw block of
+    # 2^17 normals, and no 2^16-normal call, is ever held
+    model = design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G)
+    seq = make_fttps(8, N, T_G)[3]
+
+    def run():
+        run_experiment([seq], model, mode=GateMode(trajectories=300, shots_per_trajectory=100),
+                       seed=3)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_sdr_run_memory_does_not_grow_with_shots():
