@@ -185,10 +185,8 @@ def cmd_reconstruct(config: dict, args, out: Path) -> None:
         serialize.check_records_match_sequences(native_path, native_records, seqs)
     grid_size = field(config, "grid_size", int, noise_models.DEFAULT_GRID_SIZE, at_least=2)
     # a generator leaves the inversion the only holder of the filters, which it frees once
-    # they are binned; the native estimate reads them again, so there they are kept
+    # they are binned
     filters = (sequences.filter_function(s, grid_size) for s in seqs)
-    if native_path:
-        filters = list(filters)
     floor = _saturation_floor(config)
     ridge = field(config, "ridge", float, 0.0, at_least=0)
     bins = field(config, "bins", int, None, at_least=1)
@@ -215,8 +213,8 @@ def cmd_reconstruct(config: dict, args, out: Path) -> None:
     delta_path = None
     if native_path:
         native_estimate = qns_recon.reconstruct_spectrum(
-            native_records, filters, ridge=ridge, saturation_floor=floor,
-            bins_like=estimate,
+            native_records, (sequences.filter_function(s, grid_size) for s in seqs),
+            ridge=ridge, saturation_floor=floor, bins_like=estimate,
         )
         subtraction = qns_recon.subtract_native(estimate, native_estimate)
         delta_path = out / "spectrum_delta.csv"

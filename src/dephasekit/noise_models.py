@@ -35,10 +35,6 @@ DEFAULT_TAPS = 257
 _STABILITY_MAX_STEPS = 500_000
 # most normals one standard_normal call of the draw rule draws, unless one row is wider
 _NORMALS_PER_CALL = 2**16
-# most normals one call of a phase-sum pass draws, unless one row is wider: the pass holds one
-# call and runs only a matrix-vector product between calls, so small calls cost it little;
-# a phase-forming draw block pays a GIL hand-off per call and keeps _NORMALS_PER_CALL
-_SUM_NORMALS_PER_CALL = 2**14
 # np.convolve's correlate sums kernels of up to this many taps left to right from 0 in its
 # own small-kernel loop (numpy's small_correlate); longer kernels go through one ddot per output
 _SMALL_KERNEL_TAPS = 11
@@ -121,7 +117,7 @@ class ArmaModel:
 
     def taps(self) -> np.ndarray:
         """Impulse response h, ``ma`` for a pure-MA model; else doubled from (q+1) + 10(p+q+1)
-        until |h[-1]| < 1e-12 max|h|, in one pass of :meth:`_impulse`.  A response that has
+        until |h[-1]| <= 1e-12 max|h|, in one pass of :meth:`_impulse`.  A response that has
         not decayed that far at ``_STABILITY_MAX_STEPS`` taps raises ``ValueError``.  The one
         filter, computed once per model and read-only."""
         h = self.__dict__.get("_taps")
@@ -130,13 +126,13 @@ class ArmaModel:
             while self.ar:
                 h += islice(impulse, n - len(h))
                 peak = max(map(abs, h))
-                if peak == 0.0 or abs(h[-1]) < 1e-12 * peak:
+                if abs(h[-1]) <= 1e-12 * peak:
                     break
                 if n >= _STABILITY_MAX_STEPS:
                     raise ValueError(
                         f"model with ar={list(self.ar)} has memory past the {n}-tap cap: largest "
                         f"AR root modulus {self._ar_root_radius():.6g}, last tap "
-                        f"{abs(h[-1]) / peak:.2g} of the peak (need < 1e-12)")
+                        f"{abs(h[-1]) / peak:.2g} of the peak (need <= 1e-12)")
                 n = min(2 * n, _STABILITY_MAX_STEPS)
             h = _read_only(h if self.ar else self.ma)
             object.__setattr__(self, "_taps", h)
@@ -259,23 +255,6 @@ def _phase_sum_kernel(model: ArmaModel, weights: np.ndarray) -> np.ndarray:
     return model.drive_std * np.convolve(weights, model.taps()[::-1])
 
 
-def _model_phase_sums(model: ArmaModel, generator, rows: int, kernel: np.ndarray) -> np.ndarray:
-    """(rows,) weighted sums ``_model_phases(model, generator, rows, len(weights)) @ weights``,
-    equal to rounding, without forming a phase row: the next ``rows`` rows of
-    :func:`_kept_normals`, drawn in batches of at most ``_SUM_NORMALS_PER_CALL`` normals (or
-    one row), each batch times ``kernel = _phase_sum_kernel(model, weights)`` as soon as it
-    is drawn.  It draws exactly what :func:`_model_phases` draws, in the same order, and holds
-    one batch at a time.
-    """
-    steps = len(kernel) - (len(model.taps()) - 1)
-    batch = max(1, _SUM_NORMALS_PER_CALL // (model.burn_in + steps))
-    sums = np.empty(rows)
-    for r in range(0, rows, batch):
-        n = min(batch, rows - r)
-        sums[r:r + n] = _kept_normals(model, generator, n, steps) @ kernel
-    return sums
-
-
 def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.ndarray:
     """Scale unit normals by ``drive_std`` in place, filter the last axis, keep ``steps``.
 
@@ -288,8 +267,8 @@ def _synthesize_phases(model: ArmaModel, normals: np.ndarray, steps: int) -> np.
     ``_SMALL_KERNEL_TAPS`` taps, which np.convolve sums left to right from 0 in its own
     loop, is summed that way here, one whole-block product per tap.  For a pure-MA model
     this is the kernel ``lfilter``'s FIR path runs, so every output equals a whole-row
-    filter's.  A perfect-pulse gate stream forms no phase rows: it takes
-    :func:`_model_phase_sums`.
+    filter's.  A perfect-pulse gate stream forms no phase rows: the simulator multiplies
+    its kept normals by :func:`_phase_sum_kernel`.
     """
     normals *= model.drive_std
     taps = model.taps()

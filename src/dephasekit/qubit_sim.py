@@ -6,9 +6,9 @@ R_x(+-(pi + eps + delta_j)) for pulse slots); it closes with the R_x(+-pi/2) gat
 returns a noiseless qubit to the target state, and measures.  With perfect pulses
 (eps = delta = 0) the survival is the closed form (1 + cos Phi) / 2, Phi = sum_j y_j phi_j
 weighted by the switching function; imperfect pulses propagate the exact 2x2 unitary.
-Phi is linear in the normals a stream keeps, so a perfect-pulse gate run takes it from them in
-one pass per stream and forms no phase rows; SDR mode, imperfect pulses and ``run_shot`` form
-the phases.
+Phi is linear in the normals a stream keeps, so a perfect-pulse gate run takes it from them,
+one row block at a time, and forms no phase rows; SDR mode, imperfect pulses and ``run_shot``
+form the phases.
 
 Two injection styles are supported: GATE mode shares one trajectory across a
 block of shots (fresh trajectory per repetition), while SDR mode gives every
@@ -29,7 +29,7 @@ import numpy as np
 from .noise_models import (
     ArmaModel,
     Trajectory,
-    _model_phase_sums,
+    _kept_normals,
     _model_phases,
     _phase_sum_kernel,
     _unit_normals,
@@ -47,14 +47,16 @@ from .sequences import PulseSequence, chi_time_domain, switching_function
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 # most normals one stream of one sequence may keep, rows x (len(taps) - 1 + steps): a run
-# holds one draw block or phase-sum batch of them at a time, an export holds them all
+# holds one row block of them at a time, an export holds them all
 _MAX_STREAM_NORMALS = 2**24
-# normals per draw block of a run that forms phase rows (SDR mode, imperfect pulses): a block
-# bounds the phase rows a worker holds and amortizes _propagate's per-pulse loop, and its
-# draws keep ``_NORMALS_PER_CALL``, since each call of a block pays a GIL hand-off between
-# Python steps.  A perfect-pulse gate run needs no block: it forms no rows, and between
-# draws its _model_phase_sums runs only a matrix-vector product, so its calls can be small
+# normals of the widest drawn row per row block of _run_sequence, one budget per kind of run.
+# A run that forms phase rows (SDR mode, imperfect pulses) takes _DRAW_BLOCK: a block bounds
+# the phase rows a worker holds and amortizes _propagate's per-pulse loop, and its draws keep
+# _NORMALS_PER_CALL, since each call pays a GIL hand-off between Python steps.  A perfect-pulse
+# gate run takes _PHI_BLOCK, one draw call per stream: it forms no rows and runs only a
+# matrix-vector product per stream between draws, so small blocks cost it little
 _DRAW_BLOCK = 2**17
+_PHI_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -350,15 +352,15 @@ def _run_sequence(
 ) -> ExperimentRecord:
     """The record of ``seq``: gate rows are trajectories of a shot block, SDR rows are shots.
 
-    Each used stream's :func:`_stream_source` is opened once.  Perfect gate pulses read only
-    Phi, which each stream's :func:`_model_phase_sums` gives for every row in one pass, and
-    one :func:`_ideal_survival` call turns into survivals.  A run that forms phase rows runs
-    them one draw block at a time (about ``_DRAW_BLOCK`` normals of the widest drawn row): a
-    block draws its rows of every stream, filters them, resamples them onto slots in SDR mode
-    and propagates them before the next block draws.  Either way a worker's memory does not
-    grow with rows beyond a few numbers a row.  The SDR offsets are drawn before the first
-    row and the outcomes, SDR uniforms or gate binomials, in one call after the last, from the
-    one measurement generator.
+    Each used stream's :func:`_stream_source` is opened once, and the rows run one block at a
+    time: about ``_PHI_BLOCK`` normals of the widest drawn row for perfect gate pulses, else
+    ``_DRAW_BLOCK``.  Perfect gate pulses read only Phi: a block adds each stream's kept normals
+    times its :func:`_phase_sum_kernel` into Phi, and one :func:`_ideal_survival` call after the
+    last block turns it into survivals.  Any other block draws its rows of every stream,
+    filters them, resamples them onto slots in SDR mode and propagates them before the next
+    block draws.  Either way a worker's memory does not grow with rows beyond a few numbers a
+    row.  The SDR offsets are drawn before the first row and the outcomes, SDR uniforms or gate
+    binomials, in one call after the last, from the one measurement generator.
     """
     sdr = isinstance(mode, SdrMode)
     rows = mode.shots if sdr else mode.trajectories
@@ -376,28 +378,34 @@ def _run_sequence(
     if sdr:
         offsets = (measurement.uniform(0.0, mode.phase_update_period, size=rows)
                    if mode.random_time_offset else np.zeros(rows))
-    p = np.empty(rows)
-    if not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0:
-        # Phi is linear in each stream's kept normals; the broadcast fills a silent run's 1.0
+    perfect = not sdr and perr.over_rotation == 0.0 and perr.jitter_std == 0.0
+    if perfect:
+        # Phi is linear in each stream's kept normals; a silent run keeps Phi = 0, survival 1.0
         y = switching_function(seq)
-        p[:] = _ideal_survival(sum(_model_phase_sums(m, source, rows, _phase_sum_kernel(m, y))
-                                   for m, source in ((model, injected), (native_model, native))
-                                   if draws(m)))
-    else:
-        widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
-                                       ((model, steps), (native_model, seq.n_slots)) if draws(m)])
-        block = max(1, _DRAW_BLOCK // max(widest, 1))
-        for r in range(0, rows, block):
-            n = min(block, rows - r)
-            phases = _model_phases(model, injected, n, steps)
-            if sdr:
-                phases = _sdr_slot_phases(phases, model.sample_period, seq.n_slots,
-                                          seq.gate_period, offsets[r:r + n])
-            phases += _model_phases(native_model, native, n, seq.n_slots)
-            jitter = np.zeros((n, seq.n_pulses))
-            if jitter_source is not None:
-                jitter = perr.jitter_std * _unit_normals(jitter_source, jitter.shape)
-            p[r:r + n] = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
+        kernels = [(m, source, _phase_sum_kernel(m, y)) for m, source in
+                   ((model, injected), (native_model, native)) if draws(m)]
+        phi = np.zeros(rows)
+    p = np.empty(rows)
+    widest = max([seq.n_pulses] + [m.burn_in + s for m, s in
+                                   ((model, steps), (native_model, seq.n_slots)) if draws(m)])
+    block = max(1, (_PHI_BLOCK if perfect else _DRAW_BLOCK) // max(widest, 1))
+    for r in range(0, rows, block):
+        n = min(block, rows - r)
+        if perfect:
+            for m, source, kernel in kernels:
+                phi[r:r + n] += _kept_normals(m, source, n, seq.n_slots) @ kernel
+            continue
+        phases = _model_phases(model, injected, n, steps)
+        if sdr:
+            phases = _sdr_slot_phases(phases, model.sample_period, seq.n_slots,
+                                      seq.gate_period, offsets[r:r + n])
+        phases += _model_phases(native_model, native, n, seq.n_slots)
+        jitter = np.zeros((n, seq.n_pulses))
+        if jitter_source is not None:
+            jitter = perr.jitter_std * _unit_normals(jitter_source, jitter.shape)
+        p[r:r + n] = _propagate(phases, seq, perr.over_rotation, jitter, target_state)
+    if perfect:
+        p = _ideal_survival(phi)
     if sdr:
         shots, fractions = 1, (measurement.random(rows) < p).astype(float)
     else:

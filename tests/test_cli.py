@@ -8,6 +8,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from dephasekit import qns_recon, sequences
 from dephasekit.circuits import parse_circuit
 from dephasekit.cli import main
 from dephasekit.noise_models import ArmaModel, Spectrum, _model_phases, design_bandpass, psd
@@ -1390,6 +1392,44 @@ def test_cli_reconstruct_delta_spectrum(tmp_path):
     delta = read_spectrum_csv(out / "spectrum_delta.csv")
     peak = delta.freqs[np.argmax(delta.values)]
     assert abs(peak - 1.0e6) < 0.15e6
+
+
+def test_cli_reconstruct_native_frees_filters_before_resampling(tmp_path, monkeypatch):
+    # the native estimate rebuilds its filters, so with native_records no FilterFunction is
+    # alive while a bootstrap resample is solved
+    seqs = make_fttps(12, 48, T_G)
+    model = design_bandpass(1.0e6, 0.4e6, 2e-3, T_G, taps=101)
+    native = ArmaModel(ar=(), ma=(0.05,), drive_std=1.0, sample_period=T_G)
+    mode = GateMode(trajectories=20, shots_per_trajectory=50)
+    both = run_experiment(seqs, model, native_model=native, mode=mode, seed=42, keep_raw=True)
+    write_records_csv(tmp_path / "both.csv", both)
+    write_raw_survivals_csv(tmp_path / "raw.csv", both)
+    write_records_csv(tmp_path / "nat.csv", run_experiment(seqs, native, mode=mode, seed=41))
+    write_sequences_json(tmp_path / "seqs.json", seqs)
+    cfg = write_json(tmp_path / "recon.json", {
+        "schema_version": 1, "records": str(tmp_path / "both.csv"),
+        "sequences": str(tmp_path / "seqs.json"), "native_records": str(tmp_path / "nat.csv"),
+        "raw_survivals": str(tmp_path / "raw.csv"), "bootstrap_resamples": 3,
+        "grid_size": 1025,
+    })
+    refs, alive = [], []
+    build, inversion = sequences.filter_function, qns_recon._weighted_inversion
+
+    def watched(*args):
+        filt = build(*args)
+        refs.append(weakref.ref(filt))
+        return filt
+
+    def counting(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        return inversion(*args)
+
+    monkeypatch.setattr(sequences, "filter_function", watched)
+    monkeypatch.setattr(qns_recon, "_weighted_inversion", counting)
+    assert main(["reconstruct", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    # the point estimate, three resamples and the native estimate
+    assert len(alive) == 5 and alive[1:4] == [0, 0, 0]
+    assert (tmp_path / "out" / "spectrum_delta.csv").exists()
 
 
 def test_cli_seed_flag_overrides(tmp_path):

@@ -285,16 +285,22 @@ def test_impulse_response_equals_lfilter(ar, ma, length):
     assert np.array_equal(model.impulse_response(length), lfilter_impulse(model, length))
 
 
-@pytest.mark.parametrize("a", [0.5, 0.99, 0.99999])
-def test_taps_equal_doubling_lfilter_reference(a):
-    # reference: lfilter's response at each doubled length until its last value falls
-    # below 1e-12 of its peak, capped; the one-pass taps stop at the same length, and
+@pytest.mark.parametrize(
+    "model",
+    # AR(1) models, named by their coefficient; the last one's response reaches an exact 0
+    # at once, where 1e-12 of its subnormal peak underflows to 0
+    [ar1(0.5), ar1(0.99), ar1(0.99999),
+     ArmaModel(ar=(0.0,), ma=(5e-324,), drive_std=1.0, sample_period=T_S)],
+    ids=["0.5", "0.99", "0.99999", "0.0-subnormal-ma"],
+)
+def test_taps_equal_doubling_lfilter_reference(model):
+    # reference: lfilter's response at each doubled length until its last value falls to
+    # 1e-12 of its peak or below, capped; the one-pass taps stop at the same length, and
     # refuse the model where the reference reaches the cap above 1e-12
-    model = ar1(a)
     n = len(model.ma) + 10 * (len(model.ar) + len(model.ma))
     while True:
         h = lfilter_impulse(model, n)
-        decayed = np.abs(h[-1]) < 1e-12 * np.abs(h).max()
+        decayed = np.abs(h[-1]) <= 1e-12 * np.abs(h).max()
         if decayed or n >= _STABILITY_MAX_STEPS:
             break
         n = min(2 * n, _STABILITY_MAX_STEPS)

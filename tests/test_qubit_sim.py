@@ -361,11 +361,11 @@ def test_perfect_pulse_gate_survival_is_propagated_phases(seq, model, native, ta
        native=st.sampled_from(PHASE_SUM_MODELS[1:3]), target_state=st.sampled_from([0, 1]),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_perfect_pulse_gate_rows_span_draw_calls(family, native, target_state, seed):
-    # 50 rows of the 257-tap model span nine draw calls of at most 2^14 normals, and a
-    # native AR(1) at 0.99 25 calls: each sequence still makes one _ideal_survival call, whose
-    # survivals are _propagate's on the whole-stream phases
+    # 50 rows of the 257-tap model span nine row blocks of at most 2^14 normals, and 25 with
+    # a native AR(1) at 0.99, whose rows are wider: each sequence still makes one
+    # _ideal_survival call, whose survivals are _propagate's on the whole-stream phases
     model, rows, seqs = PHASE_SUM_MODELS[0], 50, family(3, N, T_G)
-    assert rows > noise_models._SUM_NORMALS_PER_CALL // (model.burn_in + N)
+    assert rows > qubit_sim._PHI_BLOCK // (model.burn_in + N)
     root = SeedLineage(seed)
     wants = []
     for seq in seqs:
@@ -410,6 +410,14 @@ def _golden_run(case):
         model = design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G)
         mode = GateMode(trajectories=20, shots_per_trajectory=50)
         return run_experiment(make_fttps(8, N, T_G), model, mode=mode, seed=21)
+    if case == "gate-perfect-native":
+        # the native AR(1) rows are narrower than the injected ones, so its Phi products
+        # are grouped by the injected stream's row blocks
+        model = design_power_law(1.0, (0.5e6, 1e-9), (0.1e6, 2.0e6), T_G)
+        native = ArmaModel(ar=(0.9,), ma=(0.02,), drive_std=1.0, sample_period=T_G)
+        mode = GateMode(trajectories=20, shots_per_trajectory=50)
+        return run_experiment(make_fttps(8, N, T_G), model, native_model=native, mode=mode,
+                              seed=21)
     if case == "gate-ar2-jitter":
         model = ArmaModel(ar=(0.5, -0.2), ma=(0.05, 0.02), drive_std=1.0, sample_period=T_G)
         return run_experiment(
@@ -432,6 +440,8 @@ def _golden_run(case):
     [
         ("gate-power-law-257-taps",
          "6ced6bc84c5755d5a29f5012b9c190e3d23bc7a68f0f2022b4de491ba2210a96"),
+        ("gate-perfect-native",
+         "5f75b555e0f4f1c6c011257ab25fd463e6ad96472ebe95c4bbf2d07ce24596bb"),
         ("gate-ar2-jitter", "358b7a54a7041323046bd4a0017d750649e0552014e8394f36d792fc15fca66e"),
         ("sdr-native-jitter", "6890a2bf124387b3a80c3033f647b7de575aafc970f1654d3c4e100e842d33ef"),
     ],
