@@ -5,8 +5,8 @@ Subcommands wire the library into full pipelines: ``design`` a noise model,
 records, ``fit`` the survival model, ``export-circuits`` as OpenQASM text,
 ``ingest`` externally measured records, and ``report`` a run summary.
 
-Configs are JSON documents carrying ``schema_version: 1``.  Exit codes:
-0 success, 2 config or input-file error, 3 numerical failure.
+Configs are JSON documents carrying ``schema_version: 1``.  Exit codes: 0 success,
+2 config or file error (any ``SchemaError`` or ``OSError``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -393,13 +393,10 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         out = Path(args.out_dir)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise SchemaError(f"--out-dir {out}: cannot create the directory: {exc}") from exc
+        out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](config, args, out)
-    except SchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (SchemaError, OSError) as exc:  # an OSError names its file itself
+        print(f"{'file' if isinstance(exc, OSError) else 'config'} error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -7,8 +7,10 @@ as they are read, so a reader holds only what it parses out of each row; the
 writer writes each line as it formats it.  Floats are written with ``repr`` so
 a value survives a write/read cycle bit-exactly and identical runs produce
 identical bytes.  Readers accept finite numbers only and name the file (and,
-for CSV, the line and column) of the first bad value.  One rule, ``field``,
-types and bounds every JSON key, in configs and in documents alike.
+for CSV, the line and column) of the first bad value.  They wrap what names no
+file (``UnicodeDecodeError``, ``csv.Error``, ``JSONDecodeError``) in
+``SchemaError`` and pass an ``OSError`` on.  One rule, ``field``, types and
+bounds every JSON key, in configs and in documents alike.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def _csv_rows(path, required: Sequence[str]) -> Iterator["tuple[int, dict]"]:
                 yield reader.line_num, row
             if empty:
                 raise SchemaError(f"{path}: no data rows")
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 
 
@@ -123,7 +125,7 @@ def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh, parse_float=finite, parse_int=integer, parse_constant=finite)
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: line {exc.lineno}: {exc.msg}") from exc

@@ -774,6 +774,14 @@ def _bad_input_run(tmp_path, case):
     if case == "out-dir-is-a-file":
         (tmp_path / "out").write_text("")
         return "report", {"schema_version": 1, "records": str(records)}, tmp_path / "out", False
+    if case.startswith("output-"):  # a file to be written is a directory; the job runs first
+        write_model_json(model, ArmaModel(ar=(), ma=(0.1,), drive_std=1.0, sample_period=T_G))
+        command, name = {
+            "output-records-is-a-directory": ("simulate", "records.csv"),
+            "output-qasm-is-a-directory": ("export-circuits", "circuit_seq001_traj001.qasm"),
+        }[case]
+        (tmp_path / "out" / name).mkdir(parents=True)
+        return command, simulate, tmp_path / "out" / name, False
     if case.startswith("config-version-"):  # equal to 1 in Python, and once accepted
         version = True if case == "config-version-bool" else 1.0
         cfg = {"schema_version": version, "records": str(records)}
@@ -904,6 +912,8 @@ def _mismatch_run(tmp_path, case, records, seqs):
      "reconstruct-native-wrong-n-pulses", "fit-unknown-label", "fit-wrong-n-pulses",
      "fit-duplicate-row", "fit-grid-mismatch", "reconstruct-repeated-label",
      "config-not-object", "config-version-bool", "config-version-float", "out-dir-is-a-file",
+     # output files that cannot be written: the whole job runs first
+     "output-records-is-a-directory", "output-qasm-is-a-directory",
      # files their readers reject
      "records-empty-file", "injected-descending-freqs", "injected-negative-psd",
      "model-missing-ma", "model-non-numeric-drive-std", "sequences-missing-n-slots",

@@ -425,6 +425,12 @@ def _golden_run(case):
             pulse_errors=PulseErrorModel(over_rotation=0.01, jitter_std=0.02),
             mode=GateMode(trajectories=20, shots_per_trajectory=50), seed=21,
         )
+    if case == "sdr-perfect-zero-offset":
+        # perfect pulses take _propagate's closed form; zero offsets resample at fixed times
+        mode = SdrMode(shots=200, phase_update_period=70e-9, random_time_offset=False)
+        return run_experiment(make_rfttps(6, N, T_G),
+                              design_bandpass(2.0e6, 0.5e6, 0.05, 70e-9, taps=101), mode=mode,
+                              seed=23)
     return run_experiment(
         make_rfttps(6, N, T_G),
         design_bandpass(2.0e6, 0.5e6, 1e-3, 70e-9, taps=101),
@@ -444,6 +450,8 @@ def _golden_run(case):
          "5f75b555e0f4f1c6c011257ab25fd463e6ad96472ebe95c4bbf2d07ce24596bb"),
         ("gate-ar2-jitter", "358b7a54a7041323046bd4a0017d750649e0552014e8394f36d792fc15fca66e"),
         ("sdr-native-jitter", "6890a2bf124387b3a80c3033f647b7de575aafc970f1654d3c4e100e842d33ef"),
+        ("sdr-perfect-zero-offset",
+         "29c632bf9fa83f20b7f9426dd12285f5c2fdd63f53bdb97543d7b010ebe8eebe"),
     ],
 )
 def test_records_golden_digest(case, digest):
